@@ -55,6 +55,7 @@ from .kernels import (
 )
 from .distributions import (
     StftSpec,
+    ambiguity_filter,
     born_jordan,
     born_jordan_direct,
     cohen,

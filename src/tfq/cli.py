@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io as tfq_io
-from .distributions import StftSpec, born_jordan, cohen, stft, wigner
+from .distributions import StftSpec, cohen, stft, wigner_grid
 from .errors import AccuracyError, TfqError
 from .gaussians import fourier_wigner_gaussian, wigner_gaussian
 from .grid import PhaseSpaceGrid, TFMatrix, AMBIGUITY
@@ -32,8 +32,8 @@ from .norms import (
     modulation_norm,
     scaling_table,
 )
-from .operators import Symbol, apply as apply_operator, born_jordan_rule, tau_rule, weyl_rule
-from .synth import SignalRecipe, synth
+from .operators import QuantizationRule, Symbol, apply as apply_operator
+from .synth import KINDS, SignalRecipe, synth
 
 
 def _exponent(text: str) -> float:
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a test signal")
     p.add_argument("--kind", required=True,
-                   choices=["gaussian", "gabor_atom", "two_atoms", "two_tone", "chirp", "from_file"])
+                   choices=KINDS)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--dx", type=float, default=1.0 / 16.0)
     p.add_argument("--seed", type=int, default=0)
@@ -142,26 +142,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _recipe_params(args) -> dict:
-    mapping = {
-        "gaussian": ["lam"],
-        "gabor_atom": ["t0", "nu0", "lam"],
-        "two_atoms": ["dt", "dnu"],
-        "two_tone": ["nu1", "nu2"],
-        "chirp": ["rate"],
-        "from_file": ["path"],
-    }
-    params = {}
-    for name in mapping[args.kind]:
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    return params
+_RECIPE_ARGS = ("lam", "t0", "nu0", "dt", "dnu", "nu1", "nu2", "rate", "path")
+
+
+def _kernel(name: str, tau):
+    """The kernel a CLI method, kind or rule name selects."""
+    if name != "tau":
+        return born_jordan_kernel() if name == "bj" else delta_kernel()
+    if tau is None:
+        raise TfqError("--tau is required for the tau kernel")
+    return tau_kernel(tau)
 
 
 def _cmd_synth(args) -> int:
-    recipe = SignalRecipe(kind=args.kind, n=args.n, dx=args.dx, seed=args.seed,
-                          params=_recipe_params(args))
+    params = {k: getattr(args, k) for k in _RECIPE_ARGS if getattr(args, k) is not None}
+    recipe = SignalRecipe(kind=args.kind, n=args.n, dx=args.dx, seed=args.seed, params=params)
     sig = synth(recipe)
     tfq_io.write_signal(sig, args.output, meta={"kind": args.kind, "seed": args.seed})
     _emit({"schema_version": "1", "report": "synth", "output": args.output},
@@ -174,14 +169,8 @@ def _cmd_transform(args) -> int:
     g = tfq_io.read_signal(args.cross) if args.cross else None
     if args.method == "stft":
         out = stft(f, StftSpec(window=canonical_window(f)))
-    elif args.method == "wigner":
-        out = wigner(f, g)
-    elif args.method == "bj":
-        out = born_jordan(f, g)
     else:
-        if args.tau is None:
-            raise TfqError("--tau is required for the tau method")
-        out = cohen(f, g, tau_kernel(args.tau))
+        out = cohen(f, g, _kernel(args.method, args.tau))
     tfq_io.write_matrix(out, args.output)
     _emit({"schema_version": "1", "report": "transform", "output": args.output},
           args.json, [f"wrote {args.output} ({out.grid.nx} x {out.grid.nw})"])
@@ -189,14 +178,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    if args.kind == "bj":
-        kernel = born_jordan_kernel()
-    elif args.kind == "delta":
-        kernel = delta_kernel()
-    else:
-        if args.tau is None:
-            raise TfqError("--tau is required for the tau kernel")
-        kernel = tau_kernel(args.tau)
+    kernel = _kernel(args.kind, args.tau)
     grid = PhaseSpaceGrid.dft_compatible(args.n, args.dx)
     vals = ambiguity_multiplier(kernel, grid.x_axis[:, None], grid.w_axis[None, :])
     tfq_io.write_matrix(TFMatrix(vals, grid, AMBIGUITY), args.output)
@@ -226,15 +208,7 @@ def _cmd_norm(args) -> int:
 def _cmd_op(args) -> int:
     a = Symbol(tfq_io.read_matrix(args.symbol))
     f = tfq_io.read_signal(args.input)
-    if args.rule == "weyl":
-        rule = weyl_rule()
-    elif args.rule == "bj":
-        rule = born_jordan_rule()
-    else:
-        if args.tau is None:
-            raise TfqError("--tau is required for the tau rule")
-        rule = tau_rule(args.tau)
-    out = apply_operator(a, rule, f)
+    out = apply_operator(a, QuantizationRule(args.rule, args.tau), f)
     tfq_io.write_signal(out, args.output)
     _emit({"schema_version": "1", "report": "op", "output": args.output},
           args.json, [f"wrote {args.output}"])
@@ -285,8 +259,6 @@ def _cmd_experiment(args) -> int:
         recipe = SignalRecipe(kind="two_atoms", n=args.n, dx=args.dx, seed=args.seed,
                               params={"dt": args.dt, "dnu": args.dnu})
         f = synth(recipe)
-        from .distributions import wigner_grid
-
         region = interference_region(0.0, 0.0, wigner_grid(f))
         rows = ghost_energy_report(
             f, [born_jordan_kernel(), tau_kernel(args.tau)], region
@@ -307,8 +279,7 @@ def _cmd_experiment(args) -> int:
                  f"ratio={r.ratio_vs_wigner:.6f}" for r in rows]
     out_path = getattr(args, "output", None)
     if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
+        tfq_io._atomic_write(out_path, json.dumps(report, indent=2).encode())
     _emit(report, args.json, lines)
     return 0
 

@@ -7,6 +7,11 @@ frequency axis of the output spans only half the Nyquist band:
 dw = 1/(2 n dx) over n centered bins.  Inputs must be twice oversampled and
 supported in the central half of the window; the engines enforce the
 support condition and reject violations.
+
+The lag phase is (-1)^m and, with centred lag storage, the output phase
+(-1)^k, whatever x0 is: ``wigner`` is one correlation and one in-place lag
+FFT.  ``cohen`` filters the correlation's time FFT (the ambiguity function)
+in place first; ``ambiguity_filter`` filters a phase-space matrix.
 """
 
 from __future__ import annotations
@@ -14,17 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridError, WindowError
-from .grid import (
-    PHASE_SPACE,
-    PhaseSpaceGrid,
-    SampledSignal,
-    TFMatrix,
-    assert_central_support,
-    symplectic_fourier,
-)
+from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, assert_central_support
 from .kernels import (
+    DELTA,
+    TAU,
     CohenKernel,
     ambiguity_multiplier,
     born_jordan_kernel,
@@ -79,28 +80,48 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=-n * dw / 2.0, dw=dw)
 
 
-def _correlation(f: SampledSignal, g: SampledSignal) -> np.ndarray:
+def _correlation(f: SampledSignal, g: SampledSignal | None) -> np.ndarray:
+    """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2; the lag sign
+    i^(i + m) i^-(i - m) rides on the signals, so the product of two sliding
+    windows over the zero-padded signals is the only n x n allocation."""
+    if g is None:
+        g = f
+    if not f.same_grid(g):
+        raise GridError("quadratic distributions require a common grid")
+    assert_central_support(f)
+    assert_central_support(g)
     n = f.n
-    m = np.arange(-n // 2, n // 2)
-    i = np.arange(n)
-    ia = i[:, None] + m[None, :]
-    ib = i[:, None] - m[None, :]
-    valid = (ia >= 0) & (ia < n) & (ib >= 0) & (ib < n)
-    r = np.zeros((n, n), dtype=complex)
-    r[valid] = f.samples[ia[valid]] * np.conj(g.samples[ib[valid]])
+    quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+    pad = np.zeros(n // 2, dtype=complex)
+    fp = np.concatenate([pad, f.samples * quarter, pad])
+    gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
+    return sliding_window_view(fp, n)[:n] * sliding_window_view(gp, n)[n - 1 :: -1]
+
+
+def _lag_step(r: np.ndarray, dx: float) -> np.ndarray:
+    """In place: lag FFT of ``_correlation`` rows, times 2 dx (-1)^k."""
+    np.fft.fft(r, axis=1, out=r)
+    r[:, 0::2] *= 2.0 * dx
+    r[:, 1::2] *= -2.0 * dx
     return r
 
 
-def _lag_transform(r: np.ndarray, f: SampledSignal) -> TFMatrix:
-    # DFT over the lag variable y = 2 m dx onto the half-Nyquist axis
-    n = f.n
-    m = np.arange(-n // 2, n // 2)
-    grid = wigner_grid(f)
-    r = r * np.exp(-2j * np.pi * (2 * m * f.dx) * grid.w0)[None, :]
-    wrapped = np.zeros_like(r)
-    wrapped[:, np.mod(m, n)] = r
-    vals = 2.0 * f.dx * np.fft.fft(wrapped, axis=1)
-    return TFMatrix(vals, grid, PHASE_SPACE)
+def _lag_axes(f: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
+    """(z1, z2) of the time-FFT'd correlation's columns and rows."""
+    return 2.0 * f.dx * np.arange(-f.n // 2, f.n // 2), np.fft.fftfreq(f.n, f.dx)
+
+
+_BLOCKS = 16  # row blocks per multiplier pass: no n x n multiplier at once
+
+
+def _filtered(spec, kernel: CohenKernel, z1, z2, axes, conj: bool = False):
+    """In place: multiply spectrum row k, column j by the kernel's (or with
+    ``conj`` its conjugate) multiplier at (z1[j], z2[k]); invert the FFT."""
+    rows = -(-len(z2) // _BLOCKS)
+    for k in range(0, len(z2), rows):
+        mult = ambiguity_multiplier(kernel, z1[None, :], z2[k : k + rows, None])
+        spec[k : k + rows] *= np.conj(mult) if conj else mult
+    return np.fft.ifftn(spec, axes=axes, out=spec)
 
 
 def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
@@ -110,24 +131,33 @@ def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     g = f.  Raises AliasingError when either support leaks outside the
     central half-window.
     """
-    if g is None:
-        g = f
-    if not f.same_grid(g):
-        raise GridError("wigner requires a common grid")
-    assert_central_support(f)
-    assert_central_support(g)
-    return _lag_transform(_correlation(f, g), f)
+    return TFMatrix(_lag_step(_correlation(f, g), f.dx), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
-    """Cohen-class distribution: filter W(f, g) by the kernel's ambiguity
-    multiplier (symplectic transform, pointwise product, transform back)."""
-    w = wigner(f, g)
-    amb = symplectic_fourier(w)
-    mult = ambiguity_multiplier(
-        kernel, amb.grid.x_axis[:, None], amb.grid.w_axis[None, :]
+    """Cohen-class distribution: W(f, g) filtered by the kernel's ambiguity
+    multiplier Phi(z1, z2), applied to the correlation's time FFT at
+    (lag 2 m dx, time frequency).  Kernels whose multiplier is exactly one
+    (delta, tau = 1/2) give ``wigner`` itself."""
+    if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
+        return wigner(f, g)
+    r = _correlation(f, g)
+    np.fft.fft(r, axis=0, out=r)
+    _filtered(r, kernel, *_lag_axes(f), axes=(0,))
+    return TFMatrix(_lag_step(r, f.dx), wigner_grid(f), PHASE_SPACE)
+
+
+def ambiguity_filter(matrix: TFMatrix, kernel: CohenKernel, conj: bool = False) -> TFMatrix:
+    """Fs[Phi . Fs matrix] on its own grid (Phi conjugated with ``conj``): a
+    circular filter, so one 2-D FFT each way with the spectrum at (nu_x, nu_w)
+    meeting Phi at (-nu_w, nu_x), the Nyquist bin mirrored back onto the
+    centred dual axis where ``symplectic_fourier`` samples it."""
+    g = matrix.grid
+    z1 = np.fft.fftfreq(g.nw, g.dw)[-np.arange(g.nw) % g.nw]
+    spec = np.fft.fft2(matrix.values)
+    return matrix.with_values(
+        _filtered(spec, kernel, z1, np.fft.fftfreq(g.nx, g.dx), axes=(0, 1), conj=conj)
     )
-    return symplectic_fourier(amb.with_values(amb.values * mult))
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
@@ -187,4 +217,5 @@ def tau_wigner_direct(f: SampledSignal, g: SampledSignal | None, tau: float) -> 
     # genuine correlations vanish beyond half the window; clearing the outer
     # lags removes circular-shift aliases of the fractional delays
     r[np.abs(m) > n // 4, :] = 0.0
-    return _lag_transform(r.T.copy(), f)
+    r[1::2] *= -1.0  # the lag phase (-1)^m of ``_correlation``
+    return TFMatrix(_lag_step(r.T.copy(), dx), wigner_grid(f), PHASE_SPACE)

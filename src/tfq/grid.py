@@ -19,7 +19,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import AliasingError, GridError, SizeError
+from .errors import AliasingError, DomainError, GridError, SizeError
 
 PHASE_SPACE = "phase_space"
 AMBIGUITY = "ambiguity"
@@ -43,14 +43,16 @@ class SampledSignal:
         samples = np.asarray(self.samples, dtype=complex)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        if self.dx <= 0:
-            raise GridError("dx must be positive")
+        if not (self.dx > 0 and np.isfinite(self.dx) and np.isfinite(self.x0)):
+            raise GridError("dx must be positive and finite, x0 finite")
         if samples.ndim != 1:
             raise SizeError("samples must be one-dimensional")
         if len(samples) < 8 or not _is_power_of_two(len(samples)):
             raise SizeError(
                 f"sample count must be a power of two >= 8, got {len(samples)}"
             )
+        if not np.isfinite(samples).all():
+            raise DomainError("samples must be finite")
 
     @property
     def n(self) -> int:
@@ -119,8 +121,9 @@ class PhaseSpaceGrid:
     dw: float
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dw <= 0:
-            raise GridError("grid spacings must be positive")
+        finite = np.isfinite([self.x0, self.dx, self.w0, self.dw]).all()
+        if not (finite and self.dx > 0 and self.dw > 0):
+            raise GridError("grid spacings must be positive and finite, origins finite")
         if self.nx < 1 or self.nw < 1:
             raise GridError("grid counts must be positive")
 

@@ -28,14 +28,28 @@ MATRIX_VERSION = 1
 def _atomic_write(path: Path, payload: bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            # mkstemp creates 0600; give the file the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _fields(header, types: dict, path) -> list:
+    """The required header values, each converted by its type."""
+    try:
+        return [t(header[k]) for k, t in types.items()]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad header value: {exc}") from None
 
 
 def sidecar_path(csv_path) -> Path:
@@ -57,7 +71,7 @@ def write_signal(sig: SampledSignal, path, meta: dict | None = None) -> None:
 def read_signal(path) -> SampledSignal:
     path = Path(path)
     with open(sidecar_path(path)) as fh:
-        side = json.load(fh)
+        x0, dx = _fields(json.load(fh), {"x0": float, "dx": float}, sidecar_path(path))
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -71,7 +85,7 @@ def read_signal(path) -> SampledSignal:
             rows.append((int(row["index"]), float(row["re"]), float(row["im"])))
     rows.sort()
     samples = np.array([complex(r, i) for _, r, i in rows])
-    return SampledSignal(samples, x0=float(side["x0"]), dx=float(side["dx"]))
+    return SampledSignal(samples, x0=x0, dx=dx)
 
 
 def write_matrix(m: TFMatrix, path) -> None:
@@ -101,19 +115,15 @@ def read_matrix(path) -> TFMatrix:
         raise ValueError(f"{path}: truncated matrix file")
     (hlen,) = struct.unpack("<I", raw[:4])
     header = json.loads(raw[4 : 4 + hlen].decode())
-    if header.get("format") != MATRIX_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != MATRIX_FORMAT:
         raise ValueError(f"{path}: not a {MATRIX_FORMAT} file")
-    nx, nw = header["nx"], header["nw"]
+    nx, x0, dx, nw, w0, dw, domain = _fields(header, {
+        "nx": int, "x0": float, "dx": float, "nw": int, "w0": float, "dw": float,
+        "domain": str,
+    }, path)
     data = np.frombuffer(raw[4 + hlen :], dtype="<f8")
     if data.size != nx * nw * 2:
         raise ValueError(f"{path}: payload size mismatch")
     data = data.reshape(nx, nw, 2)
-    grid = PhaseSpaceGrid(
-        nx=nx,
-        x0=header["x0"],
-        dx=header["dx"],
-        nw=nw,
-        w0=header["w0"],
-        dw=header["dw"],
-    )
-    return TFMatrix(data[..., 0] + 1j * data[..., 1], grid, header["domain"])
+    grid = PhaseSpaceGrid(nx=nx, x0=x0, dx=dx, nw=nw, w0=w0, dw=dw)
+    return TFMatrix(data[..., 0] + 1j * data[..., 1], grid, domain)

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .gaussians import gaussian
 from .grid import SampledSignal, TFMatrix, dft, signal_from_function
-from .distributions import StftSpec, cohen, stft, wigner
+from .distributions import StftSpec, stft, wigner_grid
+from .distributions import _correlation, _filtered, _lag_axes, _lag_step
 from .kernels import CohenKernel, delta_kernel
 
 POSITION_INNER = "position_inner"
@@ -119,6 +120,9 @@ def fit_loglog(lams: Sequence[float], norms: Sequence[float]) -> ScalingFit:
     norms = np.asarray(norms, dtype=float)
     if len(lams) < 6:
         raise DomainError("a sweep needs at least six points")
+    for name, v in (("dilations", lams), ("norms", norms)):
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            raise DomainError(f"{name} must be positive and finite")
     lx = np.log(lams)
     ly = np.log(norms)
     design = np.vstack([lx, np.ones_like(lx)]).T
@@ -189,7 +193,10 @@ def scaling_table(
     family: str, spec: MixedNormSpec, lam_grid: Iterable[float]
 ) -> list[tuple[float, float]]:
     lams = [float(l) for l in lam_grid]
-    workers = int(os.environ.get("TFQ_THREADS", "1"))
+    text = os.environ.get("TFQ_THREADS", "1")
+    if not text.strip().isdigit():
+        raise DomainError(f"TFQ_THREADS must be a non-negative integer, got {text!r}")
+    workers = int(text)
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             norms = list(pool.map(lambda l: scaling_norm(family, spec, l), lams))
@@ -246,25 +253,30 @@ def ghost_energy_report(
     f: SampledSignal, kernels: Sequence[CohenKernel], region: Rect
 ) -> list[GhostReport]:
     """|M(f, f)|^2 integrated over the declared region, per kernel,
-    with the ratio against the plain (delta-kernel) distribution."""
-    base = wigner(f, f)
-    g = base.grid
+    with the ratio against the plain (delta-kernel) distribution.
+
+    One lag correlation and its time FFT serve every kernel, and the lag
+    step runs only on the rows inside the region."""
+    g = wigner_grid(f)
     in_x = (g.x_axis >= region.x_lo) & (g.x_axis <= region.x_hi)
     in_w = (g.w_axis >= region.w_lo) & (g.w_axis <= region.w_hi)
     if not in_x.any() or not in_w.any():
         raise DomainError("interference region lies outside the grid")
 
-    def region_energy(m: TFMatrix) -> float:
-        block = m.values[np.ix_(in_x, in_w)]
+    def region_energy(r: np.ndarray) -> float:
+        block = _lag_step(r[in_x], f.dx)[:, in_w]
         return float(np.sum(np.abs(block) ** 2) * g.cell_measure)
 
-    e_wigner = region_energy(base)
+    amb = _correlation(f, f)
+    e_wigner = region_energy(amb)
     if e_wigner == 0.0:
         raise DomainError("reference distribution carries no region energy")
     rows = [GhostReport(delta_kernel().label, e_wigner, 1.0)]
+    np.fft.fft(amb, axis=0, out=amb)
+    axes = _lag_axes(f)
     for k in kernels:
         if k.kind == "delta":
             continue
-        e = region_energy(cohen(f, f, k))
+        e = region_energy(_filtered(amb.copy(), k, *axes, axes=(0,)))
         rows.append(GhostReport(k.label, e, e / e_wigner))
     return rows

@@ -11,9 +11,10 @@ uses the equivalent integral-kernel form
     (Op(a) f)[j] = 2 dx sum_i K[i, j - i] f[2 i - j],
     K[i, m] = dw sum_l a_eff[i, l] e^{+2 pi i (2 m dx) w_l},
 
-with a_eff the rule's effective Weyl symbol (the ambiguity multiplier's
-conjugate applied spectrally); this is an exact rearrangement of the
-basis pairing, which the tests verify directly.
+with a_eff the rule's effective Weyl symbol: a filtered by the conjugate
+ambiguity multiplier through ``ambiguity_filter``, the same filter that
+``symbol_transform`` applies with sinc(z1 z2).  This is an exact
+rearrangement of the basis pairing, which the tests verify directly.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, GridError
-from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, symplectic_fourier
-from .distributions import cohen, wigner_grid
+from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
+from .distributions import ambiguity_filter, cohen, wigner_grid
 from .kernels import (
     CohenKernel,
-    ambiguity_multiplier,
     born_jordan_kernel,
     delta_kernel,
     tau_kernel,
@@ -120,22 +120,13 @@ def weak_apply(
     return a.matrix.inner(dist)
 
 
-def _effective_weyl_values(a: Symbol, rule: QuantizationRule) -> np.ndarray:
-    if rule.kind == WEYL:
-        return a.matrix.values
-    amb = symplectic_fourier(a.matrix)
-    mult = ambiguity_multiplier(
-        rule.kernel(), amb.grid.x_axis[:, None], amb.grid.w_axis[None, :]
-    )
-    back = symplectic_fourier(amb.with_values(amb.values * np.conj(mult)))
-    return back.values
-
-
 def operator_matrix(a: Symbol, rule: QuantizationRule) -> np.ndarray:
     """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u]."""
     g = a.grid
     n = g.nx
-    vals = _effective_weyl_values(a, rule)
+    vals = a.matrix.values
+    if rule.kind != WEYL:  # the effective Weyl symbol
+        vals = ambiguity_filter(a.matrix, rule.kernel(), conj=True).values
     # lag kernel K[i, m] = dw sum_l vals[i, l] e^{+2 pi i (2 m dx) w_l},
     # kept in DFT residue order (m and m mod n agree for |m| < n/2)
     m_resid = np.fft.fftfreq(n, 1.0 / n)
@@ -163,10 +154,8 @@ def apply(a: Symbol, rule: QuantizationRule, f: SampledSignal) -> SampledSignal:
 def symbol_transform(a: Symbol) -> Symbol:
     """The Born-Jordan-to-Weyl symbol map: filter a by sinc(z1 z2).
 
-    Computed spectrally as Fs^{-1}[ sinc(z1 z2) . Fs a ]; the output grid
-    equals the input grid and the map contracts the grid L^2 norm.
+    Computed spectrally as Fs^{-1}[ sinc(z1 z2) . Fs a ] by
+    ``ambiguity_filter``; the output grid equals the input grid and the map
+    contracts the grid L^2 norm.
     """
-    amb = symplectic_fourier(a.matrix)
-    mult = np.sinc(amb.grid.x_axis[:, None] * amb.grid.w_axis[None, :])
-    out = symplectic_fourier(amb.with_values(amb.values * mult))
-    return Symbol(out)
+    return Symbol(ambiguity_filter(a.matrix, born_jordan_kernel()))

@@ -1,12 +1,17 @@
 """Brute-force oracles used by the tests.
 
-These deliberately avoid the library's evaluation paths: plain panel
-quadrature against defining integrals only.
+Most deliberately avoid the library's evaluation paths: plain panel
+quadrature against defining integrals only.  The last three check the
+fused distribution engine: a direct DFT sum for the cross-distribution,
+and the three-step ambiguity route (symplectic transform, multiplier,
+symplectic transform back) built from public functions only.
 """
 
 from math import fsum
 
 import numpy as np
+
+from tfq import ambiguity_multiplier, symplectic_fourier, wigner
 
 
 def ci_brute(t: float, far_target: float = 1.0e6, order: int = 12) -> float:
@@ -78,3 +83,28 @@ def growth_brute2d(p: float, R: float, cell: float = 1 / 8, order: int = 8) -> f
     y, wt = gauss_legendre_cells(-R, R, cell, order)
     Y1, Y2 = np.meshgrid(y, y, indexing="ij")
     return float(wt @ (np.abs(np.sinc(Y1 * Y2)) ** p) @ wt)
+
+
+def wigner_direct_sum(f, g):
+    """2 dx sum_m f[i + m] conj(g[i - m]) e^{-2 pi i (2 m dx) w_k} as a dense
+    matrix product over the lags |m| < n/2 (no FFT, no folded signs)."""
+    n, dx = f.n, f.dx
+    m = np.arange(-n // 2, n // 2)
+    i = np.arange(n)[:, None]
+    ia, ib = i + m, i - m
+    valid = (ia >= 0) & (ia < n) & (ib >= 0) & (ib < n)
+    r = np.where(valid, f.samples[ia % n] * np.conj(g.samples[ib % n]), 0.0)
+    w = -1.0 / (4.0 * dx) + np.arange(n) / (2.0 * n * dx)
+    return 2.0 * dx * r @ np.exp(-2j * np.pi * np.outer(2.0 * m * dx, w))
+
+
+def symbol_filter_three_step(matrix, kernel, conj=False):
+    """Fs[Phi . Fs matrix] with Phi sampled on the centred dual grid."""
+    amb = symplectic_fourier(matrix)
+    mult = ambiguity_multiplier(kernel, amb.grid.x_axis[:, None], amb.grid.w_axis[None, :])
+    return symplectic_fourier(amb.with_values(amb.values * (np.conj(mult) if conj else mult)))
+
+
+def cohen_three_step(f, g, kernel):
+    """The Cohen distribution as W(f, g) filtered by the three-step route."""
+    return symbol_filter_three_step(wigner(f, g), kernel)

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -178,3 +181,57 @@ def test_synth_support_violation_exits_2(tmp_path):
     # a wide two-tone envelope cannot fit a small window
     assert run(["synth", "--kind", "two_tone", "--n", "128", "--dx", "0.0625",
                 "--output", str(tmp_path / "x.csv")]) == 2
+
+
+def test_written_files_get_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        sig = tmp_path / "f.csv"
+        report = tmp_path / "ghost.json"
+        assert run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)]) == 0
+        assert run(["experiment", "ghost", "--output", str(report)]) == 0
+    finally:
+        os.umask(old)
+    for path in (sig, tfq_io.sidecar_path(sig), report):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert json.loads(report.read_text())["report"] == "ghost"
+
+
+@pytest.mark.parametrize("drop", ["dx", "x0"])
+def test_sidecar_missing_key_exits_3(tmp_path, capsys, drop):
+    sig = tmp_path / "f.csv"
+    run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)])
+    side = tfq_io.sidecar_path(sig)
+    meta = json.loads(side.read_text())
+    del meta[drop]
+    side.write_text(json.dumps(meta))
+    assert run(["norm", "--input", str(sig), "--p", "2", "--q", "2"]) == 3
+    err = capsys.readouterr().err
+    assert drop in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("drop", ["domain", "nx", "nw"])
+def test_matrix_header_missing_key_exits_3(tmp_path, capsys, drop):
+    sig = tmp_path / "f.csv"
+    mat = tmp_path / "a.mat"
+    run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25", "--output", str(sig)])
+    run(["transform", "--method", "wigner", "--input", str(sig), "--output", str(mat)])
+    raw = mat.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[:4])
+    header = json.loads(raw[4 : 4 + hlen])
+    del header[drop]
+    head = json.dumps(header).encode()
+    mat.write_bytes(struct.pack("<I", len(head)) + head + raw[4 + hlen :])
+    assert run(["op", "--rule", "weyl", "--symbol", str(mat), "--input", str(sig),
+                "--output", str(tmp_path / "out.csv")]) == 3
+    err = capsys.readouterr().err
+    assert drop in err and "Traceback" not in err
+
+
+def test_bad_threads_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("TFQ_THREADS", "x")
+    assert run(["experiment", "scaling", "--family", "gaussian_mod", "--p", "2",
+                "--q", "2", "--lambda-min", "16", "--lambda-max", "64",
+                "--points", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "TFQ_THREADS" in err and "Traceback" not in err

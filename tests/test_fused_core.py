@@ -1,0 +1,142 @@
+"""The fused ambiguity-domain engine against the three-step route.
+
+``wigner``, ``cohen``, ``ambiguity_filter`` and ``ghost_energy_report`` run
+on the lag correlation with in-place 1-D FFT passes (or one 2-D FFT pass
+each way on symbols); the oracles rebuild every result from a direct DFT
+sum or from symplectic transform -> multiplier -> symplectic transform.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tfq import (
+    PHASE_SPACE,
+    Symbol,
+    TFMatrix,
+    ambiguity_filter,
+    born_jordan,
+    born_jordan_kernel,
+    born_jordan_rule,
+    cohen,
+    custom_kernel,
+    delta_kernel,
+    ghost_energy_report,
+    interference_region,
+    operator_matrix,
+    symbol_grid_for,
+    symbol_transform,
+    tau_kernel,
+    tau_rule,
+    weyl_rule,
+    wigner,
+    wigner_grid,
+)
+from tfq.synth import SignalRecipe, synth
+
+from conftest import band_limited_signal, sup_rel_error
+from oracles import cohen_three_step, symbol_filter_three_step, wigner_direct_sum
+
+TOL = 1e-12
+
+# asymmetric in z1 <-> z2 and in the sign of each argument, so a swapped or
+# mirrored argument order of the multiplier shows up at O(1)
+ASYMMETRIC = custom_kernel(
+    lambda z1, z2: np.exp(-0.3 * z1**2 - 0.05 * z2**2 + 0.7j * z1 + 0.2j * z1 * z2)
+)
+KERNELS = {
+    "delta": delta_kernel(),
+    "bj": born_jordan_kernel(),
+    "tau0.3": tau_kernel(0.3),
+    "asymmetric": ASYMMETRIC,
+}
+
+
+def _pair(n, cross):
+    rng = np.random.default_rng(n + cross)
+    f = band_limited_signal(rng, n=n)
+    return f, band_limited_signal(rng, n=n) if cross else f
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+def test_wigner_matches_direct_sum(n, cross):
+    f, g = _pair(n, cross)
+    assert sup_rel_error(wigner(f, g).values, wigner_direct_sum(f, g)) < TOL
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_cohen_matches_three_step(name, cross, n):
+    f, g = _pair(n, cross)
+    got = cohen(f, g, KERNELS[name])
+    ref = cohen_three_step(f, g, KERNELS[name])
+    assert got.grid.close_to(ref.grid)
+    assert sup_rel_error(got.values, ref.values) < TOL
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("conj", [False, True])
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_ambiguity_filter_matches_three_step(name, conj, n):
+    # a full-band random matrix, so the Nyquist rows and columns count
+    rng = np.random.default_rng(n)
+    grid = symbol_grid_for(_pair(n, False)[0])
+    m = TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid, PHASE_SPACE)
+    got = ambiguity_filter(m, KERNELS[name], conj=conj)
+    ref = symbol_filter_three_step(m, KERNELS[name], conj=conj)
+    assert got.grid == m.grid
+    assert sup_rel_error(got.values, ref.values) < TOL
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_symbol_side_matches_three_step(n):
+    rng = np.random.default_rng(n)
+    grid = symbol_grid_for(_pair(n, False)[0])
+    a = Symbol(TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid))
+    ref = symbol_filter_three_step(a.matrix, born_jordan_kernel())
+    assert sup_rel_error(symbol_transform(a).matrix.values, ref.values) < TOL
+    for rule in (born_jordan_rule(), tau_rule(0.3)):
+        # Op(a) under a rule is the Weyl operator of the effective symbol
+        eff = Symbol(symbol_filter_three_step(a.matrix, rule.kernel(), conj=True))
+        ref = operator_matrix(eff, weyl_rule())
+        assert sup_rel_error(operator_matrix(a, rule), ref) < TOL
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_ghost_report_matches_three_step(n):
+    f = synth(SignalRecipe(kind="two_atoms", n=n, dx=16 / n, params={"dt": 1.0}))
+    grid = wigner_grid(f)
+    region = interference_region(0.0, 0.0, grid)
+    kernels = [born_jordan_kernel(), tau_kernel(0.3), ASYMMETRIC]
+    in_x = (grid.x_axis >= region.x_lo) & (grid.x_axis <= region.x_hi)
+    in_w = (grid.w_axis >= region.w_lo) & (grid.w_axis <= region.w_hi)
+
+    def energy(m):
+        return np.sum(np.abs(m.values[np.ix_(in_x, in_w)]) ** 2) * grid.cell_measure
+
+    e_w = energy(wigner(f, f))
+    rows = ghost_energy_report(f, kernels, region)
+    assert [r.kernel_label for r in rows] == ["delta"] + [k.label for k in kernels]
+    assert abs(rows[0].energy - e_w) < TOL * e_w
+    for k, row in zip(kernels, rows[1:]):
+        e = energy(cohen_three_step(f, f, k))
+        assert abs(row.energy - e) < TOL * max(e, e_w)
+        assert abs(row.ratio_vs_wigner - e / e_w) < TOL * max(1.0, e / e_w)
+
+
+@pytest.mark.parametrize("engine, bound", [(wigner, 2), (born_jordan, 3)])
+def test_traced_peak_memory(engine, bound):
+    n = 1024
+    f = synth(SignalRecipe(kind="gabor_atom", n=n, dx=1 / 16))
+    engine(f)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * n * n

@@ -4,6 +4,7 @@ import pytest
 from tfq import (
     AMBIGUITY,
     AliasingError,
+    DomainError,
     GridError,
     PHASE_SPACE,
     PhaseSpaceGrid,
@@ -187,3 +188,26 @@ def test_matrix_file_rejects_garbage(tmp_path):
     path.write_bytes(b"\x10\x00\x00\x00not json at all!")
     with pytest.raises(ValueError):
         tfq_io.read_matrix(path)
+
+
+@pytest.mark.parametrize("x0, dx", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (-np.inf, 0.1)])
+def test_signal_rejects_non_finite_grid(x0, dx):
+    with pytest.raises(GridError):
+        SampledSignal(np.zeros(16), x0=x0, dx=dx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_signal_rejects_non_finite_samples(bad):
+    samples = np.zeros(16, dtype=complex)
+    samples[5] = complex(0.0, bad)
+    with pytest.raises(DomainError):
+        SampledSignal(samples, x0=-1.0, dx=0.125)
+
+
+@pytest.mark.parametrize("field", ["x0", "dx", "w0", "dw"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_phase_space_grid_rejects_non_finite(field, bad):
+    spec = dict(nx=8, x0=-1.0, dx=0.25, nw=8, w0=-2.0, dw=0.5)
+    spec[field] = bad
+    with pytest.raises(GridError):
+        PhaseSpaceGrid(**spec)

@@ -162,6 +162,15 @@ def test_fit_loglog_recovers_slope(rng):
         fit_loglog(lams[:4], vals[:4])
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_fit_loglog_rejects_bad_norms(bad):
+    lams = np.geomspace(1, 100, 8)
+    vals = lams**-0.5
+    vals[3] = bad
+    with pytest.raises(DomainError):
+        fit_loglog(lams, vals)
+
+
 def test_scaling_slopes_smoke():
     # one fast sweep per family; acceptance runs the full table
     lams = np.geomspace(16.0, 256.0, 6)
