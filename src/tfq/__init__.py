@@ -65,7 +65,6 @@ from .distributions import (
     wigner_grid,
 )
 from .operators import (
-    QuantizationRule,
     Symbol,
     apply,
     born_jordan_rule,

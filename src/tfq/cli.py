@@ -32,7 +32,7 @@ from .norms import (
     modulation_norm,
     scaling_table,
 )
-from .operators import QuantizationRule, Symbol, apply as apply_operator
+from .operators import Symbol, apply as apply_operator
 from .synth import KINDS, SignalRecipe, synth
 
 
@@ -208,7 +208,7 @@ def _cmd_norm(args) -> int:
 def _cmd_op(args) -> int:
     a = Symbol(tfq_io.read_matrix(args.symbol))
     f = tfq_io.read_signal(args.input)
-    out = apply_operator(a, QuantizationRule(args.rule, args.tau), f)
+    out = apply_operator(a, _kernel(args.rule, args.tau), f)
     tfq_io.write_signal(out, args.output)
     _emit({"schema_version": "1", "report": "op", "output": args.output},
           args.json, [f"wrote {args.output}"])

@@ -35,15 +35,11 @@ from .kernels import (
 
 @dataclass(frozen=True)
 class StftSpec:
-    """Dense short-time transform plan: hop is fixed at one sample."""
+    """Dense short-time transform plan: one column per signal sample."""
 
     window: SampledSignal
-    hop: int = 1
-    centered: bool = True
 
     def __post_init__(self):
-        if self.hop != 1:
-            raise DomainError("only dense evaluation (hop = 1) is supported")
         if self.window.energy() <= 0.0:
             raise WindowError("window energy must be positive")
 
@@ -53,22 +49,26 @@ def stft(f: SampledSignal, spec: StftSpec) -> TFMatrix:
 
     Column i holds dx * DFT_y[f(y) conj(window(y - x_i))] on the centered
     frequency axis with spacing 1/(n dx).  Window shifts are circular; the
-    central-half support convention keeps wrapped products at zero.
+    central-half support convention keeps wrapped products at zero.  Row i
+    of the circulant window is a view into the tiled conjugate window, the
+    pre-phase of the centered axis is the sign (-1)^j on f, and the FFT
+    runs in place on the one n x n product.
     """
     g = spec.window
     if not f.same_grid(g):
         raise GridError("signal and window must share one grid")
     n = f.n
     dx = f.dx
-    i0 = int(round(-f.x0 / dx))  # index of x = 0 on the axis
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None] + i0) % n
-    prod = f.samples[None, :] * np.conj(g.samples[idx])
+    i0 = int(round(-f.x0 / dx)) % n  # index of x = 0 on the axis
+    # rows[s, j] = conj(g)[(s + j) % n]; row i needs s = i0 - i (mod n)
+    rows = sliding_window_view(np.tile(np.conj(g.samples), 3), n)
+    signed = f.samples.copy()
+    signed[1::2] *= -1.0
+    vals = rows[i0 + n : i0 : -1] * signed
+    np.fft.fft(vals, axis=1, out=vals)
     dw = 1.0 / (n * dx)
     w0 = -n * dw / 2.0
-    j = np.arange(n)
-    pre = np.exp(-2j * np.pi * (j * dx) * w0)
-    vals = np.fft.fft(prod * pre[None, :], axis=1)
-    vals *= dx * np.exp(-2j * np.pi * f.x0 * (w0 + j * dw))[None, :]
+    vals *= dx * np.exp(-2j * np.pi * f.x0 * (w0 + np.arange(n) * dw))
     grid = PhaseSpaceGrid(nx=n, x0=f.x0, dx=dx, nw=n, w0=w0, dw=dw)
     return TFMatrix(vals, grid, PHASE_SPACE)
 

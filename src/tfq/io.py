@@ -84,6 +84,8 @@ def read_signal(path) -> SampledSignal:
         for row in reader:
             rows.append((int(row["index"]), float(row["re"]), float(row["im"])))
     rows.sort()
+    if [i for i, _, _ in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: indices must be 0..n-1, each exactly once")
     samples = np.array([complex(r, i) for _, r, i in rows])
     return SampledSignal(samples, x0=x0, dx=dx)
 

@@ -57,14 +57,6 @@ class MixedNormSpec:
         if self.order not in (POSITION_INNER, FREQUENCY_INNER):
             raise DomainError(f"unknown nesting {self.order!r}")
 
-    @property
-    def p_prime(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
-    def q_prime(self) -> float:
-        return conjugate_exponent(self.q)
-
 
 def mixed_norm(m: TFMatrix, spec: MixedNormSpec) -> float:
     """Grid L^{p,q} norm of a matrix with the nesting chosen by the spec."""

@@ -1,9 +1,10 @@
 """Desk-scale quantization: weak pairings and dense operator realisations.
 
 An operator with symbol a acts weakly through <Op(a) f, g> = <a, D(g, f)>
-where D is the rule's distribution: the plain cross-distribution for Weyl,
-the tau distribution for the tau rules, the Born-Jordan distribution for
-the Born-Jordan rule.  All brackets are antilinear in their second slot.
+where D is the Cohen distribution of the rule.  A quantization rule is its
+Cohen kernel: ``weyl_rule``, ``tau_rule`` and ``born_jordan_rule`` are the
+delta, tau and Born-Jordan kernels under their operator names.  All
+brackets are antilinear in their second slot.
 
 ``apply`` realises the same pairing against the grid basis.  Internally it
 uses the equivalent integral-kernel form
@@ -20,54 +21,18 @@ rearrangement of the basis pairing, which the tests verify directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import GridError
 from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
 from .distributions import ambiguity_filter, cohen, wigner_grid
-from .kernels import (
-    CohenKernel,
-    born_jordan_kernel,
-    delta_kernel,
-    tau_kernel,
-)
+from .kernels import DELTA, CohenKernel, born_jordan_kernel, delta_kernel, tau_kernel
 
-WEYL = "weyl"
-BORN_JORDAN_RULE = "bj"
-TAU_RULE = "tau"
-
-
-@dataclass(frozen=True)
-class QuantizationRule:
-    kind: str
-    tau: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in (WEYL, BORN_JORDAN_RULE, TAU_RULE):
-            raise DomainError(f"unknown quantization rule {self.kind!r}")
-        if self.kind == TAU_RULE and (self.tau is None or not 0.0 <= self.tau <= 1.0):
-            raise DomainError("tau rule needs tau in [0, 1]")
-
-    def kernel(self) -> CohenKernel:
-        if self.kind == WEYL:
-            return delta_kernel()
-        if self.kind == BORN_JORDAN_RULE:
-            return born_jordan_kernel()
-        return tau_kernel(self.tau)
-
-
-def weyl_rule() -> QuantizationRule:
-    return QuantizationRule(WEYL)
-
-
-def born_jordan_rule() -> QuantizationRule:
-    return QuantizationRule(BORN_JORDAN_RULE)
-
-
-def tau_rule(tau: float) -> QuantizationRule:
-    return QuantizationRule(TAU_RULE, tau=float(tau))
+# a quantization rule is its Cohen kernel
+weyl_rule = delta_kernel
+born_jordan_rule = born_jordan_kernel
+tau_rule = tau_kernel
 
 
 @dataclass(frozen=True)
@@ -110,39 +75,40 @@ def symbol_grid_for(f: SampledSignal) -> PhaseSpaceGrid:
     return wigner_grid(f)
 
 
-def weak_apply(
-    a: Symbol, rule: QuantizationRule, f: SampledSignal, g: SampledSignal
-) -> complex:
+def weak_apply(a: Symbol, rule: CohenKernel, f: SampledSignal, g: SampledSignal) -> complex:
     """<Op(a) f, g> = <a, D(g, f)> as a grid inner product."""
-    dist = cohen(g, f, rule.kernel())
+    dist = cohen(g, f, rule)
     if not a.grid.close_to(dist.grid):
         raise GridError("symbol grid does not match the distribution grid")
     return a.matrix.inner(dist)
 
 
-def operator_matrix(a: Symbol, rule: QuantizationRule) -> np.ndarray:
+def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u]."""
     g = a.grid
     n = g.nx
     vals = a.matrix.values
-    if rule.kind != WEYL:  # the effective Weyl symbol
-        vals = ambiguity_filter(a.matrix, rule.kernel(), conj=True).values
+    if rule.kind != DELTA:  # the effective Weyl symbol
+        vals = ambiguity_filter(a.matrix, rule, conj=True).values
     # lag kernel K[i, m] = dw sum_l vals[i, l] e^{+2 pi i (2 m dx) w_l},
     # kept in DFT residue order (m and m mod n agree for |m| < n/2)
     m_resid = np.fft.fftfreq(n, 1.0 / n)
-    lag = np.fft.ifft(vals, axis=1) * n * g.dw
+    lag = np.fft.ifft(vals, axis=1)
+    lag *= n * g.dw
     lag *= np.exp(2j * np.pi * (2.0 * m_resid * g.dx) * g.w0)[None, :]
+    lag *= 2.0 * g.dx
+    # lag m fills M[i + m, i - m], i in [|m|, n - |m|): one stride-(n + 1)
+    # anti-diagonal of the flat matrix; entries with j + u odd stay zero
     out = np.zeros((n, n), dtype=complex)
-    j = np.arange(n)[:, None]
-    u = np.arange(n)[None, :]
-    same_parity = (j + u) % 2 == 0
-    i_mid = (j + u) // 2
-    m_idx = ((j - u) // 2) % n
-    out[same_parity] = 2.0 * g.dx * lag[i_mid[same_parity], m_idx[same_parity]]
+    flat = out.reshape(-1)
+    for m in range(1 - n // 2, n // 2):
+        lo = abs(m)
+        start = lo * (n + 1) + m * (n - 1)
+        flat[start : start + (n - 2 * lo) * (n + 1) : n + 1] = lag[lo : n - lo, m % n]
     return out
 
 
-def apply(a: Symbol, rule: QuantizationRule, f: SampledSignal) -> SampledSignal:
+def apply(a: Symbol, rule: CohenKernel, f: SampledSignal) -> SampledSignal:
     """Op(a) f as a sampled signal (weak pairing against the grid basis)."""
     g = a.grid
     if f.n != g.nx or not np.isclose(f.dx, g.dx, rtol=1e-9, atol=0):

@@ -24,6 +24,8 @@ from math import fsum
 
 import numpy as np
 
+from .errors import DomainError
+
 EULER_GAMMA = float(np.euler_gamma)
 
 _SERIES_CUT = 4.0
@@ -98,28 +100,22 @@ _EDGES = np.arange(_SERIES_CUT, _QUAD_FAR + 0.5, 1.0)
 
 
 @lru_cache(maxsize=None)
-def _cumulative_tail(kind: str):
-    fn = np.cos if kind == "cos" else np.sin
+def _cumulative_tail(fn):
     segs = _panel_integrals(fn, _EDGES[:-1], _EDGES[1:])
     return np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
 
 
-def _ci_mid(t):
-    # int_t^64 split as [t, next unit edge] + cached unit panels, then tail.
-    cum = _cumulative_tail("cos")
-    j = np.clip(np.searchsorted(_EDGES, t, side="right"), 1, len(_EDGES)) - 1
-    nxt = np.minimum(j + 1, len(_EDGES) - 1)
-    part = _panel_integrals(np.cos, t, _EDGES[nxt])
-    return -(part + cum[nxt]) + _ci_asymptotic(np.full_like(t, _QUAD_FAR))
-
-
-def _si_mid(t):
-    cum = _cumulative_tail("sin")
-    j = np.clip(np.searchsorted(_EDGES, t, side="right"), 1, len(_EDGES)) - 1
-    nxt = np.minimum(j + 1, len(_EDGES) - 1)
-    part = _panel_integrals(np.sin, t, _EDGES[nxt])
-    tail = np.pi / 2 - _si_asymptotic(np.array([_QUAD_FAR]))[0]
-    return np.pi / 2 - (part + cum[nxt] + tail)
+def _mid_tail(fn, t):
+    """int_t^inf fn(s)/s ds for fn = cos or sin and 4 < t < 32: the partial
+    panel [t, next unit edge], the cached unit panels up to 64, then the
+    asymptotic tail beyond 64."""
+    nxt = np.minimum(np.searchsorted(_EDGES, t, side="right"), len(_EDGES) - 1)
+    far = np.array([_QUAD_FAR])
+    if fn is np.cos:
+        tail = -_ci_asymptotic(far)[0]
+    else:
+        tail = np.pi / 2 - _si_asymptotic(far)[0]
+    return _panel_integrals(fn, t, _EDGES[nxt]) + _cumulative_tail(fn)[nxt] + tail
 
 
 def _si_series(t):
@@ -173,8 +169,6 @@ def cosine_integral(t):
     Raises:
         DomainError: on any non-positive argument.
     """
-    from .errors import DomainError
-
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("cosine_integral requires t > 0")
@@ -185,7 +179,7 @@ def cosine_integral(t):
     if lo.any():
         out[lo] = _ci_series(arr[lo])
     if mid.any():
-        out[mid] = _ci_mid(arr[mid])
+        out[mid] = -_mid_tail(np.cos, arr[mid])
     if hi.any():
         out[hi] = _ci_asymptotic(arr[hi])
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
@@ -198,8 +192,6 @@ def ci_evaluate(t: float, method: str | None = None) -> CiEvaluation:
     t >= 16; ``quadrature`` is admissible everywhere and serves as the
     reference branch.
     """
-    from .errors import DomainError
-
     t = float(t)
     if t <= 0.0:
         raise DomainError("cosine_integral requires t > 0")
@@ -227,8 +219,6 @@ def ci_evaluate(t: float, method: str | None = None) -> CiEvaluation:
 
 def sine_integral(t):
     """Si(t) = int_0^t sin(s)/s ds for t >= 0; scalars or arrays."""
-    from .errors import DomainError
-
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("sine_integral requires t >= 0")
@@ -239,7 +229,7 @@ def sine_integral(t):
     if lo.any():
         out[lo] = _si_series(arr[lo])
     if mid.any():
-        out[mid] = _si_mid(arr[mid])
+        out[mid] = np.pi / 2 - _mid_tail(np.sin, arr[mid])
     if hi.any():
         out[hi] = _si_asymptotic(arr[hi])
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out

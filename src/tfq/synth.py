@@ -40,6 +40,8 @@ def synth(recipe: SignalRecipe) -> SampledSignal:
     """
     p = recipe.params
     if recipe.kind == "from_file":
+        if "path" not in p:
+            raise GenerationError("from_file recipe needs a path")
         sig = tfq_io.read_signal(p["path"])
     else:
         x = centered_signal_axis(recipe.n, recipe.dx)

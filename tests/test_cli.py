@@ -183,6 +183,25 @@ def test_synth_support_violation_exits_2(tmp_path):
                 "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def test_synth_from_file_without_path_exits_2(tmp_path, capsys):
+    assert run(["synth", "--kind", "from_file", "--output", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "path" in err and "Traceback" not in err
+
+
+def test_duplicate_or_missing_index_exits_3(tmp_path, capsys):
+    sig = tmp_path / "f.csv"
+    run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25", "--output", str(sig)])
+    lines = sig.read_text().splitlines()
+    lines[5] = lines[4]  # index 3 twice, index 4 gone
+    sig.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="indices"):
+        tfq_io.read_signal(sig)
+    assert run(["norm", "--input", str(sig), "--p", "2", "--q", "2"]) == 3
+    err = capsys.readouterr().err
+    assert str(sig) in err and "Traceback" not in err
+
+
 def test_written_files_get_umask_mode(tmp_path):
     old = os.umask(0o022)
     try:

@@ -55,8 +55,6 @@ def test_stft_rejects_mismatched_grids_and_zero_window():
         stft(f, StftSpec(window=g))
     with pytest.raises(WindowError):
         StftSpec(window=f.with_samples(np.zeros(f.n)))
-    with pytest.raises(DomainError):
-        StftSpec(window=f, hop=2)
 
 
 def test_stft_fundamental_identity(rng):

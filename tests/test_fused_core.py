@@ -13,18 +13,21 @@ import pytest
 
 from tfq import (
     PHASE_SPACE,
+    StftSpec,
     Symbol,
     TFMatrix,
     ambiguity_filter,
     born_jordan,
     born_jordan_kernel,
     born_jordan_rule,
+    canonical_window,
     cohen,
     custom_kernel,
     delta_kernel,
     ghost_energy_report,
     interference_region,
     operator_matrix,
+    stft,
     symbol_grid_for,
     symbol_transform,
     tau_kernel,
@@ -100,7 +103,7 @@ def test_symbol_side_matches_three_step(n):
     assert sup_rel_error(symbol_transform(a).matrix.values, ref.values) < TOL
     for rule in (born_jordan_rule(), tau_rule(0.3)):
         # Op(a) under a rule is the Weyl operator of the effective symbol
-        eff = Symbol(symbol_filter_three_step(a.matrix, rule.kernel(), conj=True))
+        eff = Symbol(symbol_filter_three_step(a.matrix, rule, conj=True))
         ref = operator_matrix(eff, weyl_rule())
         assert sup_rel_error(operator_matrix(a, rule), ref) < TOL
 
@@ -127,15 +130,33 @@ def test_ghost_report_matches_three_step(n):
         assert abs(row.ratio_vs_wigner - e / e_w) < TOL * max(1.0, e / e_w)
 
 
-@pytest.mark.parametrize("engine, bound", [(wigner, 2), (born_jordan, 3)])
-def test_traced_peak_memory(engine, bound):
+def _stft_call(f):
+    spec = StftSpec(window=canonical_window(f))
+    return lambda: stft(f, spec)
+
+
+def _weyl_matrix_call(f):
+    a = Symbol.sample(lambda x, w: np.exp(-np.pi * (x**2 + w**2)), symbol_grid_for(f))
+    return lambda: operator_matrix(a, weyl_rule())
+
+
+@pytest.mark.parametrize("setup, bound", [
+    pytest.param(lambda f: lambda: wigner(f), 2, id="wigner-2"),
+    pytest.param(lambda f: lambda: born_jordan(f), 3, id="born_jordan-3"),
+    pytest.param(_stft_call, 1.5, id="stft-1.5"),
+    pytest.param(_weyl_matrix_call, 2.5, id="operator_matrix-2.5"),
+])
+def test_traced_peak_memory(setup, bound):
+    # peak of one call in units of 16 n^2 bytes, beyond its arguments (the
+    # window and the symbol are built before the measurement)
     n = 1024
     f = synth(SignalRecipe(kind="gabor_atom", n=n, dx=1 / 16))
-    engine(f)  # first-call set-up outside the measurement
+    call = setup(f)
+    call()  # first-call set-up outside the measurement
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        engine(f)
+        call()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -19,7 +19,7 @@ from tfq import (
     symplectic_fourier,
 )
 
-from conftest import band_limited_signal, gaussian_signal
+from conftest import band_limited_signal, gaussian_signal, sup_rel_error
 
 
 def random_matrix(rng, n=64, dx=1 / 8, dw=None):
@@ -89,6 +89,19 @@ def test_dft_rejects_bad_direction(rng):
         dft(f, "sideways")
 
 
+@pytest.mark.parametrize("direction, sign", [("forward", -1.0), ("inverse", 1.0)])
+def test_dft_matches_exactly_reduced_direct_sum(rng, direction, sign):
+    # at x0 = 0, x_j w_k = j dx (o0 + k do) = -j/2 + jk/n: the kernel is
+    # (-1)^j e^{-+2 pi i (jk mod n)/n}, with the phase reduced exactly
+    n, dx = 2048, 1 / 16
+    f = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), x0=0.0, dx=dx)
+    j = np.arange(n)
+    roots = np.exp(sign * 2j * np.pi * j / n)
+    signed = f.samples * (-1.0) ** j
+    ref = dx * np.array([signed @ roots[(j * k) % n] for k in range(n)])
+    assert sup_rel_error(dft(f, direction).samples, ref) < 1e-14
+
+
 def test_parseval(rng):
     for _ in range(20):
         f = band_limited_signal(rng, n=256)
@@ -107,6 +120,15 @@ def test_sft_involution(rng):
         assert twice.domain_tag == PHASE_SPACE
         assert np.abs(twice.values - m.values).max() < 1e-10
         assert twice.grid.close_to(m.grid)
+
+
+@pytest.mark.parametrize("n", [512, 2048, 2049])
+def test_sft_involution_exact_to_rounding(rng, n):
+    # every phase is a sign, odd n included, so only the FFTs round
+    m = random_matrix(rng, n=n, dx=1 / 16)
+    twice = symplectic_fourier(symplectic_fourier(m))
+    assert twice.grid.close_to(m.grid)
+    assert sup_rel_error(twice.values, m.values) < 1e-14
 
 
 def test_sft_impulse_is_constant():
