@@ -171,6 +171,9 @@ def born_jordan_direct(f: SampledSignal, g: SampledSignal | None = None) -> TFMa
 
     Independent of the ambiguity multiplier; used to validate the spectral
     route (the two stay within a couple of 1e-3 in relative L^2 at n = 512).
+    Cost: n^2 Ci and Si evaluations on a power-of-two n (one per distinct
+    |cell corner|) and three 2-D FFTs of side 2n; traced peak ~15 n x n
+    complex arrays.
     """
     w = wigner(f, g)
     n = w.grid.nx

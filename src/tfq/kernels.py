@@ -11,8 +11,9 @@ symplectic transform of the phase-space kernel evaluated at (z1, z2):
 The Born-Jordan phase-space kernel itself is -2 Ci(4 pi |z1 z2|) in
 dimension one: logarithmically singular along the axes, slowly decaying off
 them.  ``theta_sigma_cell_averages`` integrates it exactly over grid cells
-(closed-form antiderivative), which is what the direct convolution route
-needs to coexist with the spectral multiplier route.
+(closed-form antiderivative, evaluated once per distinct |cell corner|),
+which is what the direct convolution route needs to coexist with the
+spectral multiplier route.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ def _corner_antiderivative(x, y):
     return out
 
 
-def _signed_corner(u, v):
-    return np.sign(u) * np.sign(v) * _corner_antiderivative(np.abs(u), np.abs(v))
-
-
 def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
     """Exact cell averages of -2 Ci(4 pi |u v|) over dx-by-dw cells.
 
@@ -131,18 +128,24 @@ def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
     H(x, y) = x y Ci(c) - (sin c + Si c)/(4 pi), c = 4 pi x y, extended to
     all quadrants by oddness in each corner coordinate; cells crossing the
     axes are handled by the same corner combination, with no singular
-    evaluations.
+    evaluations.  H is evaluated once per distinct (|corner x|, |corner w|)
+    and gathered into every cell's four corners: on a lattice of 2n - 1
+    offsets per axis that is n^2 evaluations, not 4 (2n - 1)^2.
     """
     u = np.asarray(x_offsets, dtype=float)
     v = np.asarray(w_offsets, dtype=float)
-    u1, u2 = u - dx / 2.0, u + dx / 2.0
-    v1, v2 = v - dw / 2.0, v + dw / 2.0
-    rect = (
-        _signed_corner(u2[:, None], v2[None, :])
-        - _signed_corner(u1[:, None], v2[None, :])
-        - _signed_corner(u2[:, None], v1[None, :])
-        + _signed_corner(u1[:, None], v1[None, :])
-    )
+    ex = np.concatenate([u - dx / 2.0, u + dx / 2.0])  # lower, then upper edges
+    ew = np.concatenate([v - dw / 2.0, v + dw / 2.0])
+    ax, ix = np.unique(np.abs(ex), return_inverse=True)
+    aw, iw = np.unique(np.abs(ew), return_inverse=True)
+    h = _corner_antiderivative(ax[:, None], aw[None, :])
+    sx, ix = np.sign(ex).reshape(2, -1), ix.reshape(2, -1)
+    sw, iw = np.sign(ew).reshape(2, -1), iw.reshape(2, -1)
+
+    def corner(a, b):  # sign(x) sign(w) H(|x|, |w|) on edge a of x, edge b of w
+        return sx[a][:, None] * sw[b][None, :] * h[np.ix_(ix[a], iw[b])]
+
+    rect = corner(1, 1) - corner(0, 1) - corner(1, 0) + corner(0, 0)
     return -2.0 * rect / (dx * dw)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
+from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
 from .distributions import ambiguity_filter, cohen, wigner_grid
 from .kernels import DELTA, CohenKernel, born_jordan_kernel, delta_kernel, tau_kernel
 
@@ -84,16 +84,24 @@ def weak_apply(a: Symbol, rule: CohenKernel, f: SampledSignal, g: SampledSignal)
 
 
 def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
-    """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u]."""
+    """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u].
+
+    Raises:
+        GridError: unless dw = 1/(2 n dx), the one spacing on which the
+            lag-kernel form below holds (``symbol_grid_for``'s grid).
+    """
     g = a.grid
     n = g.nx
-    vals = a.matrix.values
-    if rule.kind != DELTA:  # the effective Weyl symbol
-        vals = ambiguity_filter(a.matrix, rule, conj=True).values
+    if not np.isclose(2.0 * n * g.dx * g.dw, 1.0, rtol=_ORIGIN_RTOL, atol=0):
+        raise GridError("operator symbols need the grid spacing dw = 1/(2 n dx)")
+    vals, buf = a.matrix.values, None
+    if rule.kind != DELTA:  # the effective Weyl symbol, a fresh array of ours
+        vals = buf = ambiguity_filter(a.matrix, rule, conj=True).values
+        buf.setflags(write=True)
     # lag kernel K[i, m] = dw sum_l vals[i, l] e^{+2 pi i (2 m dx) w_l},
     # kept in DFT residue order (m and m mod n agree for |m| < n/2)
     m_resid = np.fft.fftfreq(n, 1.0 / n)
-    lag = np.fft.ifft(vals, axis=1)
+    lag = np.fft.ifft(vals, axis=1, out=buf)
     lag *= n * g.dw
     lag *= np.exp(2j * np.pi * (2.0 * m_resid * g.dx) * g.w0)[None, :]
     lag *= 2.0 * g.dx
@@ -110,8 +118,7 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
 
 def apply(a: Symbol, rule: CohenKernel, f: SampledSignal) -> SampledSignal:
     """Op(a) f as a sampled signal (weak pairing against the grid basis)."""
-    g = a.grid
-    if f.n != g.nx or not np.isclose(f.dx, g.dx, rtol=1e-9, atol=0):
+    if not a.grid.close_to(symbol_grid_for(f)):
         raise GridError("signal grid does not match the symbol grid")
     mat = operator_matrix(a, rule)
     return f.with_samples(mat @ f.samples)

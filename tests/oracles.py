@@ -1,17 +1,27 @@
 """Brute-force oracles used by the tests.
 
 Most deliberately avoid the library's evaluation paths: plain panel
-quadrature against defining integrals only.  The last three check the
-fused distribution engine: a direct DFT sum for the cross-distribution,
-and the three-step ambiguity route (symplectic transform, multiplier,
-symplectic transform back) built from public functions only.
+quadrature against defining integrals only.  Three check the fused
+distribution engine: a direct DFT sum for the cross-distribution, and the
+three-step ambiguity route (symplectic transform, multiplier, symplectic
+transform back) built from public functions only.  The last two check the
+Born-Jordan kernel: its cell averages with one antiderivative evaluation
+per cell corner, and the distribution as a tau-average of tau-Wigner
+distributions, with neither the multiplier nor Ci.
 """
 
 from math import fsum
 
 import numpy as np
 
-from tfq import ambiguity_multiplier, symplectic_fourier, wigner
+from tfq import (
+    ambiguity_multiplier,
+    cosine_integral,
+    sine_integral,
+    symplectic_fourier,
+    tau_wigner_direct,
+    wigner,
+)
 
 
 def ci_brute(t: float, far_target: float = 1.0e6, order: int = 12) -> float:
@@ -108,3 +118,39 @@ def symbol_filter_three_step(matrix, kernel, conj=False):
 def cohen_three_step(f, g, kernel):
     """The Cohen distribution as W(f, g) filtered by the three-step route."""
     return symbol_filter_three_step(wigner(f, g), kernel)
+
+
+def cell_averages_four_corner(x_offsets, w_offsets, dx, dw):
+    """Cell averages of -2 Ci(4 pi |u v|) from the antiderivative
+    H(x, y) = x y Ci(c) - (sin c + Si c)/(4 pi), c = 4 pi x y, taken
+    separately at each of every cell's four corners, odd in each corner
+    coordinate."""
+
+    def corner(u, v):
+        x, y = np.abs(u)[:, None], np.abs(v)[None, :]
+        c = 4.0 * np.pi * x * y
+        h = np.zeros_like(c)
+        nz = c > 0
+        h[nz] = (x * y)[nz] * cosine_integral(c[nz]) - (
+            np.sin(c[nz]) + sine_integral(c[nz])
+        ) / (4.0 * np.pi)
+        return np.sign(u)[:, None] * np.sign(v)[None, :] * h
+
+    u = np.asarray(x_offsets, dtype=float)
+    v = np.asarray(w_offsets, dtype=float)
+    u1, u2 = u - dx / 2.0, u + dx / 2.0
+    v1, v2 = v - dw / 2.0, v + dw / 2.0
+    rect = corner(u2, v2) - corner(u1, v2) - corner(u2, v1) + corner(u1, v1)
+    return -2.0 * rect / (dx * dw)
+
+
+def born_jordan_tau_average(f, g, order):
+    """Q(f, g) as int_0^1 of the tau-Wigner distribution d tau, by an
+    ``order``-node Gauss-Legendre rule in tau: the tau multipliers
+    e^{pi i (2 tau - 1) z1 z2} average to sinc(z1 z2) (Boggiatto, De Donno
+    and Oliaro, Trans. AMS 2010)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    out = np.zeros((f.n, f.n), dtype=complex)
+    for t, wt in zip(0.5 + 0.5 * x, 0.5 * w):
+        out += wt * tau_wigner_direct(f, g, t).values
+    return out

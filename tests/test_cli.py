@@ -127,6 +127,20 @@ def test_op_subcommand_identity(tmp_path):
     assert np.abs(g.samples - f.samples).max() < 1e-6
 
 
+def test_op_with_stft_grid_symbol_exits_2(tmp_path, capsys):
+    sig = tmp_path / "f.csv"
+    assert run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)]) == 0
+    sym = tmp_path / "s.mat"
+    assert run(["transform", "--method", "stft", "--input", str(sig),
+                "--output", str(sym)]) == 0
+    out = tmp_path / "g.csv"
+    assert run(["op", "--rule", "weyl", "--symbol", str(sym), "--input", str(sig),
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_oracle_subcommand(capsys, schema):
     assert run(["oracle", "--which", "fourier-symplectic", "--lam", "3",
                 "--json"]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tfq import (
     AliasingError,
     DomainError,
     GridError,
+    SampledSignal,
     StftSpec,
     WindowError,
     born_jordan,
@@ -14,6 +17,7 @@ from tfq import (
     delta_kernel,
     dft,
     born_jordan_kernel,
+    centered_signal_axis,
     gaussian,
     stft,
     tau_kernel,
@@ -24,7 +28,7 @@ from tfq import (
 )
 
 from conftest import band_limited_signal, gaussian_signal, sup_rel_error
-from oracles import stft_point_brute
+from oracles import born_jordan_tau_average, stft_point_brute
 
 
 # --- STFT -----------------------------------------------------------------------
@@ -196,6 +200,35 @@ def test_born_jordan_dual_route_gaussian():
     qd = born_jordan_direct(f, f)
     rel = np.linalg.norm(qm.values - qd.values) / np.linalg.norm(qm.values)
     assert rel < 2e-3
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+def test_born_jordan_matches_tau_average(cross):
+    # third route: no ambiguity multiplier and no Ci machinery
+    f = gaussian_signal(1.0, 256, 1 / 16)
+    g = f
+    if cross:  # shifted by 1/2 and modulated to frequency 1
+        x = centered_signal_axis(256, 1 / 16)
+        g = SampledSignal(np.exp(-np.pi * (x - 0.5) ** 2 + 2j * np.pi * x),
+                          x0=float(x[0]), dx=1 / 16)
+    ref = born_jordan_tau_average(f, g, 32)
+    assert sup_rel_error(born_jordan(f, g).values, ref) <= 1e-12
+
+
+def test_born_jordan_direct_traced_peak():
+    # peak in units of 16 n^2 bytes: the zero-padded 2n x 2n convolution
+    # and its (2n - 1)^2 cell-average kernel
+    n = 512
+    f = gaussian_signal(1.0, n, 1 / 16)
+    born_jordan_direct(f)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        born_jordan_direct(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 16 * n * n
 
 
 def test_ghost_damping_two_atoms():

@@ -135,16 +135,19 @@ def _stft_call(f):
     return lambda: stft(f, spec)
 
 
-def _weyl_matrix_call(f):
-    a = Symbol.sample(lambda x, w: np.exp(-np.pi * (x**2 + w**2)), symbol_grid_for(f))
-    return lambda: operator_matrix(a, weyl_rule())
+def _matrix_call(rule):
+    def setup(f):
+        a = Symbol.sample(lambda x, w: np.exp(-np.pi * (x**2 + w**2)), symbol_grid_for(f))
+        return lambda: operator_matrix(a, rule)
+    return setup
 
 
 @pytest.mark.parametrize("setup, bound", [
     pytest.param(lambda f: lambda: wigner(f), 2, id="wigner-2"),
     pytest.param(lambda f: lambda: born_jordan(f), 3, id="born_jordan-3"),
     pytest.param(_stft_call, 1.5, id="stft-1.5"),
-    pytest.param(_weyl_matrix_call, 2.5, id="operator_matrix-2.5"),
+    pytest.param(_matrix_call(weyl_rule()), 2.5, id="operator_matrix-2.5"),
+    pytest.param(_matrix_call(born_jordan_rule()), 2.5, id="operator_matrix_bj-2.5"),
 ])
 def test_traced_peak_memory(setup, bound):
     # peak of one call in units of 16 n^2 bytes, beyond its arguments (the

@@ -20,9 +20,11 @@ from tfq import (
     vg_theta,
     vg_theta_grid,
 )
+from tfq import kernels as kernels_module
 from tfq.special import EULER_GAMMA
 
-from oracles import ci_brute, growth_brute2d, vg_theta_brute
+from conftest import sup_rel_error
+from oracles import cell_averages_four_corner, ci_brute, growth_brute2d, vg_theta_brute
 
 
 # --- ambiguity multipliers ------------------------------------------------------
@@ -168,6 +170,53 @@ def test_cell_averages_match_pointwise_away_from_axes():
     avg = theta_sigma_cell_averages(u, v, dx, dw)
     point = theta_sigma_d1(u[:, None], v[None, :])
     assert np.abs(avg - point).max() < 1e-4
+
+
+def _bj_lattice(n, dx):
+    # born_jordan_direct's cells: 2n - 1 offsets per axis, dw = 1/(2 n dx)
+    dw = 1.0 / (2.0 * n * dx)
+    return dx * np.arange(-(n - 1), n), dw * np.arange(-(n - 1), n), dx, dw
+
+
+@pytest.mark.parametrize("dx", [1 / 16, 0.1], ids=["dyadic", "decimal"])
+@pytest.mark.parametrize("n", [64, 255, 256])
+def test_cell_averages_match_four_corner_oracle(n, dx):
+    args = _bj_lattice(n, dx)
+    got = theta_sigma_cell_averages(*args)
+    assert sup_rel_error(got, cell_averages_four_corner(*args)) <= 1e-13
+
+
+def test_cell_averages_match_four_corner_oracle_off_lattice(rng):
+    dx, dw = 0.07, 0.13
+    # overlapping cells at random offsets; cells centred on the axes or
+    # with an edge on them
+    on_axes = np.array([0.0, dx / 2, -dx / 2, dx / 4, -1.5 * dx, 0.3])
+    cases = [
+        (rng.uniform(-6, 6, 200), rng.uniform(-3, 3, 150)),
+        (on_axes, np.array([0.0, dw / 2, -dw / 2, 0.9, -2.0])),
+    ]
+    for u, v in cases:
+        got = theta_sigma_cell_averages(u, v, dx, dw)
+        assert sup_rel_error(got, cell_averages_four_corner(u, v, dx, dw)) <= 1e-13
+
+
+def test_cell_averages_evaluate_once_per_distinct_corner(monkeypatch):
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return cosine_integral(t)
+
+    monkeypatch.setattr(kernels_module, "cosine_integral", counted)
+    n = 256
+    # dyadic lattice: corners at |x|, |w| = (k + 1/2) d, k < n, so n^2 in
+    # all, where every cell's own four corners would be 4 (2n - 1)^2
+    theta_sigma_cell_averages(*_bj_lattice(n, 1 / 16))
+    assert sum(sizes) == n * n
+    # on a decimal lattice rounding splits some shared edges in two
+    sizes.clear()
+    theta_sigma_cell_averages(*_bj_lattice(n, 0.07))
+    assert sum(sizes) <= (2 * n) ** 2
 
 
 # --- growth of |Theta|^p ----------------------------------------------------------

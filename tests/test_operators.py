@@ -3,6 +3,8 @@ import pytest
 
 from tfq import (
     GridError,
+    PhaseSpaceGrid,
+    SampledSignal,
     Symbol,
     apply,
     born_jordan_rule,
@@ -204,6 +206,27 @@ def test_grid_mismatch_rejected(rng):
         weak_apply(a, weyl_rule(), g, g)
     with pytest.raises(GridError):
         apply(a, weyl_rule(), g)
+
+
+def test_symbol_grid_must_match_whole(rng):
+    f = band_limited_signal(rng, n=128)
+    # the STFT's grid: same n and dx, but dw = 1/(n dx)
+    a = Symbol.constant(1.0, PhaseSpaceGrid.dft_compatible(f.n, f.dx))
+    for rule in (weyl_rule(), born_jordan_rule(), tau_rule(0.3)):
+        with pytest.raises(GridError):
+            operator_matrix(a, rule)
+        with pytest.raises(GridError):
+            apply(a, rule, f)
+    # the right spacing, but the signal's origin is off the symbol's
+    b = random_symbol(rng, symbol_grid_for(f))
+    shifted = SampledSignal(f.samples, x0=f.x0 + f.dx, dx=f.dx)
+    with pytest.raises(GridError):
+        apply(b, weyl_rule(), shifted)
+    # no rule writes into the symbol's own values
+    before = b.matrix.values.copy()
+    for rule in (weyl_rule(), born_jordan_rule(), tau_rule(0.3)):
+        operator_matrix(b, rule)
+    assert np.array_equal(b.matrix.values, before)
 
 
 def test_weyl_equals_tau_half(rng):
