@@ -8,9 +8,14 @@ The two nestings of the grid L^{p,q} norm:
   amalgam-style nesting.
 
 Infinite exponents replace the corresponding power sum with a maximum (no
-measure factor).  The dilation experiments fit log-norm against
-log-dilation over a sweep and report the least-squares slope with its
-standard error.
+measure factor).  One reducer serves every norm: ``mixed_norm`` hands it a
+dense matrix as one block; ``modulation_norm`` and ``amalgam_norm`` stream
+|V_g f| to it in row blocks of ``_BLOCK`` window shifts, magnitude only,
+with ``rfft`` and mirror weights 1, 2, ..., 2, 1 on the frequency bins when
+f is real (the Gaussian window always is), so their memory is O(block n),
+not n^2.  The dense ``stft`` stays the reference route.  The dilation
+experiments fit log-norm against log-dilation over a sweep and report the
+least-squares slope with its standard error.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ResolutionError
 from .gaussians import gaussian
-from .grid import SampledSignal, TFMatrix, dft, signal_from_function
-from .distributions import StftSpec, stft, wigner_grid
+from .grid import SampledSignal, TFMatrix, signal_from_function
+from .distributions import wigner_grid
 from .distributions import _correlation, _filtered, _lag_axes, _lag_step
 from .kernels import CohenKernel, delta_kernel
 
@@ -58,20 +64,36 @@ class MixedNormSpec:
             raise DomainError(f"unknown nesting {self.order!r}")
 
 
+def _reduce(blocks, weights, spec: MixedNormSpec, dx: float, dw: float) -> float:
+    """Grid L^{p,q} norm of a magnitude matrix given as row blocks (rows on
+    the position axis, columns on the frequency axis); column k counts
+    ``weights[k]`` times, or ``weights`` times if it is a scalar.  Every sum is an ``np.sum``, so a result depends
+    on the blocks alone, not on the BLAS thread count."""
+    p, q = spec.p, spec.q
+    acc = 0.0
+    if spec.order == POSITION_INNER:
+        for mags in blocks:
+            if np.isinf(p):
+                acc = np.maximum(acc, mags.max(axis=0))
+            else:
+                acc = acc + np.sum(mags**p, axis=0)
+        inner = acc if np.isinf(p) else (acc * dx) ** (1.0 / p)
+        if np.isinf(q):
+            return float(inner.max())
+        return float((np.sum(weights * inner**q) * dw) ** (1.0 / q))
+    for mags in blocks:
+        if np.isinf(p):
+            inner = mags.max(axis=1)
+        else:
+            inner = (np.sum(weights * mags**p, axis=1) * dw) ** (1.0 / p)
+        acc = max(acc, inner.max()) if np.isinf(q) else acc + np.sum(inner**q)
+    return float(acc) if np.isinf(q) else float((acc * dx) ** (1.0 / q))
+
+
 def mixed_norm(m: TFMatrix, spec: MixedNormSpec) -> float:
     """Grid L^{p,q} norm of a matrix with the nesting chosen by the spec."""
-    mags = np.abs(m.values)
-    if spec.order == POSITION_INNER:
-        inner_axis, d_in, d_out = 0, m.grid.dx, m.grid.dw
-    else:
-        inner_axis, d_in, d_out = 1, m.grid.dw, m.grid.dx
-    if np.isinf(spec.p):
-        inner = mags.max(axis=inner_axis)
-    else:
-        inner = (np.sum(mags**spec.p, axis=inner_axis) * d_in) ** (1.0 / spec.p)
-    if np.isinf(spec.q):
-        return float(inner.max())
-    return float((np.sum(inner**spec.q) * d_out) ** (1.0 / spec.q))
+    g = m.grid
+    return _reduce([np.abs(m.values)], 1.0, spec, g.dx, g.dw)
 
 
 def canonical_window(f: SampledSignal) -> SampledSignal:
@@ -79,20 +101,52 @@ def canonical_window(f: SampledSignal) -> SampledSignal:
     return f.with_samples(gaussian(f.axis))
 
 
+_BLOCK = 64  # rows of |V| held at once by the streamed norms
+
+
+def _stft_norm(f: SampledSignal, spec: MixedNormSpec, order: str) -> float:
+    """Mixed norm of |V_g f| for g = canonical_window(f), in row blocks.
+
+    A mixed norm does not see the order of rows or columns, nor any phase,
+    so each block is |fft(rows * f)| over ``_BLOCK`` window shifts in
+    circulant order, without the centring sign or the x0 phase of ``stft``;
+    the factor dx of V comes out of the norm, which is homogeneous.
+    The Gaussian window is real, so a real f gives Hermitian rows: ``rfft``
+    keeps bins 0..n/2 and the weights count bins 1..n/2 - 1 twice (n is
+    even, so bin n/2 is the Nyquist bin).
+    """
+    n, dx = f.n, f.dx
+    fs, gs = f.samples, canonical_window(f).samples.real
+    if fs.imag.any():
+        fft, weights = np.fft.fft, 1.0
+    else:
+        fs, fft = fs.real, np.fft.rfft
+        weights = np.full(n // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+    rows = sliding_window_view(np.tile(gs, 2), n)[:n]  # rows[s, j] = gs[(s + j) % n]
+    blocks = (np.abs(fft(rows[s : s + _BLOCK] * fs, axis=1)) for s in range(0, n, _BLOCK))
+    spec = MixedNormSpec(spec.p, spec.q, order)
+    return dx * _reduce(blocks, weights, spec, dx, 1.0 / (n * dx))
+
+
 def modulation_norm(f: SampledSignal, spec: MixedNormSpec) -> float:
-    """Joint norm of the Gaussian-window STFT, position-inner nesting."""
-    v = stft(f, StftSpec(window=canonical_window(f)))
-    return mixed_norm(v, MixedNormSpec(spec.p, spec.q, POSITION_INNER))
+    """Joint norm of the Gaussian-window STFT, position-inner nesting.
+
+    Equal to ``mixed_norm(stft(f, StftSpec(canonical_window(f))), ...)`` to
+    rounding, but streamed: |V| is reduced ``_BLOCK`` rows at a time, with
+    no phases, through a real FFT with mirror weights when f is real, so
+    memory stays O(block n) instead of one n x n complex array.
+    """
+    return _stft_norm(f, spec, POSITION_INNER)
 
 
 def amalgam_norm(f: SampledSignal, spec: MixedNormSpec) -> float:
-    """Amalgam-style norm: same transform, frequency-inner nesting.
+    """Amalgam-style norm: same streamed |V|, frequency-inner nesting.
 
     Related to the joint norm through the transform side:
     modulation_norm(f) == amalgam_norm(dft(f)) up to grid rounding.
     """
-    v = stft(f, StftSpec(window=canonical_window(f)))
-    return mixed_norm(v, MixedNormSpec(spec.p, spec.q, FREQUENCY_INNER))
+    return _stft_norm(f, spec, FREQUENCY_INNER)
 
 
 # ---------------------------------------------------------------------------

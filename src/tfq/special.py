@@ -92,7 +92,9 @@ def _panel_integrals(fn, a, b, order=16):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     s = mid[..., None] + half[..., None] * x
-    return ((fn(s) / s) @ w) * half
+    # einsum, not a BLAS @: a threaded matrix-vector product splits its sums
+    # by array size, so a value would depend on what else is in the call
+    return np.einsum("...j,j->...", fn(s) / s, w) * half
 
 
 # fixed unit-panel partition for vectorised mid-range evaluation
