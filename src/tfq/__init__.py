@@ -33,7 +33,7 @@ from .grid import (
     signal_from_function,
     symplectic_fourier,
 )
-from .special import CiEvaluation, ci_evaluate, cosine_integral, sinc, sine_integral
+from .special import cosine_integral, sinc, sine_integral
 from .gaussians import (
     fourier_wigner_gaussian,
     gaussian,

@@ -1,26 +1,23 @@
 """Scalar special functions: sinc, the cosine integral Ci, and the sine
 integral Si.
 
-Ci(t) = -int_t^inf cos(s)/s ds is evaluated by three methods:
+Ci(t) = -int_t^inf cos(s)/s ds is evaluated on three branches:
 
 * ``series``      gamma + log t + sum_k (-t^2)^k / (2k (2k)!)   for t <= 4
-* ``quadrature``  Gauss-Legendre panels between the zeros of cos, plus an
-                  asymptotic tail started on a far zero (valid everywhere;
-                  this is the oracle-grade branch)
+* ``quadrature``  16-node Gauss-Legendre on unit panels up to 64 (cached
+                  cumulative sums), plus the asymptotic tail from 64 on,
+                  for 4 < t < 32
 * ``asymptotic``  sin t * f(t) - cos t * g(t) with the divergent expansions
                   of f and g truncated at eight terms, for t >= 32
 
-The automatic dispatcher uses the series up to 4, quadrature on (4, 32) and
-the asymptotic expansion from 32 on.  The classical handoff at 16 leaves the
-eight-term expansion ~2e-8 short of the 1e-10 target, so the quadrature
-branch covers the gap up to 32 (validated against the brute-force oracle).
+The classical handoff at 16 leaves the eight-term expansion ~2e-8 short of
+the 1e-10 target, so the quadrature branch covers the gap up to 32
+(validated against the brute-force oracle).  Si uses the same branches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum
 
 import numpy as np
 
@@ -87,8 +84,8 @@ def _si_asymptotic(t):
     return np.pi / 2 - f * np.cos(t) - g * np.sin(t)
 
 
-def _panel_integrals(fn, a, b, order=16):
-    x, w = gauss_legendre(order)
+def _panel_integrals(fn, a, b):
+    x, w = gauss_legendre(16)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     s = mid[..., None] + half[..., None] * x
@@ -130,40 +127,8 @@ def _si_series(t):
     return out
 
 
-def _ci_quadrature_scalar(t: float) -> float:
-    """Oracle-grade panel quadrature of -int_t^inf cos(s)/s ds.
-
-    Panels run between consecutive zeros of cos up to a far zero; the first
-    panel is refined geometrically (the 1/s factor is steep for small t).
-    The remainder past the far point uses the eight-term expansion, whose
-    error there is below 1e-16.
-    """
-    far = max(_QUAD_FAR, t + 8 * np.pi)
-    m = int(np.ceil(far / np.pi))
-    far = m * np.pi
-    k0 = int(np.floor(t / np.pi - 0.5)) + 1
-    zeros = (np.arange(k0, m) + 0.5) * np.pi
-    zeros = zeros[(zeros > t) & (zeros < far)]
-    first_end = zeros[0] if len(zeros) else far
-    nlog = max(4, int(np.ceil(np.log2(first_end / t))) * 4)
-    head = np.geomspace(t, first_end, nlog + 1)
-    rest = zeros[1:] if len(zeros) else np.empty(0)
-    bounds = np.concatenate([head, rest, [far]])
-    segs = _panel_integrals(np.cos, bounds[:-1], bounds[1:], order=24)
-    return -fsum(segs.tolist()) + float(_ci_asymptotic(np.array([far]))[0])
-
-
 # ---------------------------------------------------------------------------
 # public surface
-
-@dataclass(frozen=True)
-class CiEvaluation:
-    """A cosine-integral value together with the method that produced it."""
-
-    t: float
-    value: float
-    method_tag: str  # "series" | "quadrature" | "asymptotic"
-
 
 def cosine_integral(t):
     """Ci(t) for t > 0; accepts scalars or arrays.
@@ -185,38 +150,6 @@ def cosine_integral(t):
     if hi.any():
         out[hi] = _ci_asymptotic(arr[hi])
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def ci_evaluate(t: float, method: str | None = None) -> CiEvaluation:
-    """Evaluate Ci(t) with an explicit (or automatically chosen) method.
-
-    ``series`` is admissible only for t <= 4 and ``asymptotic`` only for
-    t >= 16; ``quadrature`` is admissible everywhere and serves as the
-    reference branch.
-    """
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError("cosine_integral requires t > 0")
-    if method is None:
-        if t <= _SERIES_CUT:
-            method = "series"
-        elif t >= _ASYM_CUT:
-            method = "asymptotic"
-        else:
-            method = "quadrature"
-    if method == "series":
-        if t > _SERIES_CUT:
-            raise DomainError("series branch is restricted to t <= 4")
-        value = float(_ci_series(np.array([t]))[0])
-    elif method == "asymptotic":
-        if t < 16.0:
-            raise DomainError("asymptotic branch is restricted to t >= 16")
-        value = float(_ci_asymptotic(np.array([t]))[0])
-    elif method == "quadrature":
-        value = _ci_quadrature_scalar(t)
-    else:
-        raise DomainError(f"unknown Ci method {method!r}")
-    return CiEvaluation(t=t, value=value, method_tag=method)
 
 
 def sine_integral(t):

@@ -4,17 +4,22 @@ Most deliberately avoid the library's evaluation paths: plain panel
 quadrature against defining integrals only.  Three check the fused
 distribution engine: a direct DFT sum for the cross-distribution, and the
 three-step ambiguity route (symplectic transform, multiplier, symplectic
-transform back) built from public functions only.  The last two check the
+transform back) built from public functions only.  Two more check the
 Born-Jordan kernel: its cell averages with one antiderivative evaluation
 per cell corner, and the distribution as a tau-average of tau-Wigner
-distributions, with neither the multiplier nor Ci.
+distributions, with neither the multiplier nor Ci.  Two are the library's
+former routes, kept as references: Ci evaluated on one named branch
+(``ci_evaluate``), and the kernel STFT on dyadic t-panels
+(``vg_theta_grid_dyadic``).
 """
 
+from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
 
 from tfq import (
+    DomainError,
     ambiguity_multiplier,
     cosine_integral,
     sine_integral,
@@ -22,13 +27,14 @@ from tfq import (
     tau_wigner_direct,
     wigner,
 )
+from tfq.kernels import _vg_integrand
+from tfq.special import _ASYM_CUT, _SERIES_CUT, _ci_asymptotic, _ci_series
 
 
-def ci_brute(t: float, far_target: float = 1.0e6, order: int = 12) -> float:
-    """-int_t^inf cos(s)/s ds by Gauss-Legendre panels between the zeros of
-    cos out to a zero of sin near ``far_target``; the dropped tail is then
-    bounded by 1/T^2 + 2/T^3 (integration by parts twice), ~1e-12."""
-    m = int(round(far_target / np.pi))
+def _cos_panel_integral(t: float, m: int, order: int) -> float:
+    """-int_t^{m pi} cos(s)/s ds by Gauss-Legendre panels between the zeros
+    of cos; the first panel is refined geometrically (the 1/s factor is
+    steep for small t)."""
     far = m * np.pi
     k0 = int(np.floor(t / np.pi - 0.5)) + 1
     zeros = (np.arange(k0, m) + 0.5) * np.pi
@@ -45,6 +51,63 @@ def ci_brute(t: float, far_target: float = 1.0e6, order: int = 12) -> float:
     s = mid[:, None] + half[:, None] * x
     segs = ((np.cos(s) / s) @ w) * half
     return -fsum(segs.tolist())
+
+
+def ci_brute(t: float, far_target: float = 1.0e6, order: int = 12) -> float:
+    """-int_t^inf cos(s)/s ds by panels out to a zero of sin near
+    ``far_target``; the dropped tail is then bounded by 1/T^2 + 2/T^3
+    (integration by parts twice), ~1e-12."""
+    return _cos_panel_integral(t, int(round(far_target / np.pi)), order)
+
+
+@dataclass(frozen=True)
+class CiEvaluation:
+    """A cosine-integral value together with the method that produced it."""
+
+    t: float
+    value: float
+    method_tag: str  # "series" | "quadrature" | "asymptotic"
+
+
+def _ci_quadrature_scalar(t: float) -> float:
+    """Panel quadrature of -int_t^inf cos(s)/s ds up to a zero of sin past
+    max(64, t + 8 pi); the remainder uses the eight-term expansion, whose
+    error there is below 1e-16."""
+    m = int(np.ceil(max(64.0, t + 8 * np.pi) / np.pi))
+    return _cos_panel_integral(t, m, 24) + float(_ci_asymptotic(np.array([m * np.pi]))[0])
+
+
+def ci_evaluate(t: float, method: str | None = None) -> CiEvaluation:
+    """Evaluate Ci(t) on one branch of ``cosine_integral``, explicit or
+    chosen as the library dispatches.
+
+    ``series`` is admissible only for t <= 4 and ``asymptotic`` only for
+    t >= 16; ``quadrature`` (a scalar panel route, not the library's cached
+    unit panels) is admissible everywhere and serves as the reference branch.
+    """
+    t = float(t)
+    if t <= 0.0:
+        raise DomainError("cosine_integral requires t > 0")
+    if method is None:
+        if t <= _SERIES_CUT:
+            method = "series"
+        elif t >= _ASYM_CUT:
+            method = "asymptotic"
+        else:
+            method = "quadrature"
+    if method == "series":
+        if t > _SERIES_CUT:
+            raise DomainError("series branch is restricted to t <= 4")
+        value = float(_ci_series(np.array([t]))[0])
+    elif method == "asymptotic":
+        if t < 16.0:
+            raise DomainError("asymptotic branch is restricted to t >= 16")
+        value = float(_ci_asymptotic(np.array([t]))[0])
+    elif method == "quadrature":
+        value = _ci_quadrature_scalar(t)
+    else:
+        raise DomainError(f"unknown Ci method {method!r}")
+    return CiEvaluation(t=t, value=value, method_tag=method)
 
 
 def gauss_legendre_cells(lo: float, hi: float, cell: float, order: int):
@@ -87,6 +150,41 @@ def vg_theta_brute(z1, z2, zeta1, zeta2, span: float = 5.0, cell: float = 1 / 16
         * np.exp(-2j * np.pi * (Y1 * zeta1 + Y2 * zeta2))
     )
     return complex(w1 @ vals @ w2)
+
+
+def vg_theta_grid_dyadic(z1, z2, zeta1_axis, zeta2_axis):
+    """``vg_theta_grid``'s t-integral on a different panel layout: 12 dyadic
+    levels toward t = 0 on each side of [-1/2, 1/2], each split so that no
+    chunk holds more than a few phase cycles at the grid's fastest rate.
+    Shares only the integrand with the library (``vg_theta_brute`` checks
+    that against the defining 2D integral).
+
+    Returns (values, error_estimate), the estimate summing the largest
+    32- vs 20-node difference over the panels.
+    """
+    Z1 = np.asarray(zeta1_axis, dtype=float)[:, None]
+    Z2 = np.asarray(zeta2_axis, dtype=float)[None, :]
+    rate = float(np.max(np.abs(Z1 * Z2 - z1 * z2) + np.abs(z1 * Z1 + z2 * Z2)))
+    rules = [np.polynomial.legendre.leggauss(n) for n in (32, 20)]
+    total = np.zeros((Z1.shape[0], Z2.shape[1]), dtype=complex)
+    err = 0.0
+    for sgn in (1.0, -1.0):
+        for k in range(12):
+            hi = sgn * 2.0 ** -(k + 1)
+            lo = hi / 2.0 if k < 11 else 0.0
+            a, b = (lo, hi) if sgn > 0 else (hi, lo)
+            nsub = max(1, int(np.ceil(rate * abs(b - a) / 4.0)))
+            e = np.linspace(a, b, nsub + 1)
+            mid = 0.5 * (e[:-1] + e[1:])
+            half = 0.5 * (e[1:] - e[:-1])
+            v32, v20 = (
+                sum(np.tensordot(w, _vg_integrand((m + h * x)[:, None, None], z1, z2, Z1, Z2),
+                                 axes=(0, 0)) * h for m, h in zip(mid, half))
+                for x, w in rules
+            )
+            total += v32
+            err += float(np.max(np.abs(v32 - v20)))
+    return total, err
 
 
 def growth_brute2d(p: float, R: float, cell: float = 1 / 8, order: int = 8) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,13 @@ from tfq import kernels as kernels_module
 from tfq.special import EULER_GAMMA
 
 from conftest import sup_rel_error
-from oracles import cell_averages_four_corner, ci_brute, growth_brute2d, vg_theta_brute
+from oracles import (
+    cell_averages_four_corner,
+    ci_brute,
+    growth_brute2d,
+    vg_theta_brute,
+    vg_theta_grid_dyadic,
+)
 
 
 # --- ambiguity multipliers ------------------------------------------------------
@@ -315,6 +323,58 @@ def test_vg_theta_uniform_bound_smoke(rng):
         tot = np.sum(np.abs(vals)) * 0.25
         assert np.isfinite(tot)
         assert tot <= (1.0 + 0.05) * ref
+
+
+# the benchmark's zeta axis and window positions: three magnitudes in every
+# quadrant and both coordinate orders, the centre, and one far point
+VG_AXIS = np.arange(-6.0, 6.0, 0.5) + 0.25
+VG_ORACLE_Z = sorted(
+    {(0.0, 0.0), (6.0, 5.0)}
+    | {(s1 * m[o], s2 * m[1 - o])
+       for m in ((2.0, 1.0), (0.5, 2.5), (1.5, 1.5))
+       for o in (0, 1) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)}
+)
+
+
+@pytest.mark.parametrize("z", VG_ORACLE_Z, ids=str)
+def test_vg_theta_grid_matches_dyadic_oracle(z):
+    vals, est = vg_theta_grid(*z, VG_AXIS, VG_AXIS)
+    ref, _ = vg_theta_grid_dyadic(*z, VG_AXIS, VG_AXIS)
+    assert est < 1e-6
+    assert sup_rel_error(vals, ref) <= 1e-12
+
+
+def test_vg_theta_grid_integrand_calls(monkeypatch):
+    # uniform panels sized by the phase rate: at z = (2, 1) on the benchmark
+    # axis the rate is about 52, so 7 sub-panels per rule, 14 calls in all
+    calls = []
+    real = kernels_module._vg_integrand
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels_module, "_vg_integrand", counted)
+    vg_theta_grid(2.0, 1.0, VG_AXIS, VG_AXIS)
+    assert len(calls) <= 14
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((np.nan, 0.0, [1.0], [1.0]), "z1"),
+        ((0.0, np.inf, [1.0], [1.0]), "z2"),
+        ((0.0, 0.0, [1.0, -np.inf], [1.0]), "zeta1_axis"),
+        ((0.0, 0.0, [1.0], [np.nan]), "zeta2_axis"),
+        ((0.0, 0.0, [], [1.0]), "zeta1_axis"),
+        ((0.0, 0.0, [1.0], []), "zeta2_axis"),
+    ],
+)
+def test_vg_theta_grid_rejects_non_finite_or_empty_input(args, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(DomainError, match=name):
+            vg_theta_grid(*args)
 
 
 # --- round trip: grid transform of sinc vs the Ci formula -------------------------

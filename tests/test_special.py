@@ -2,10 +2,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from tfq import DomainError, ci_evaluate, cosine_integral, sinc, sine_integral
+from tfq import DomainError, cosine_integral, sinc, sine_integral
 from tfq.special import EULER_GAMMA
 
-from oracles import ci_brute
+from oracles import ci_brute, ci_evaluate
 
 # brute-oracle values, frozen (ci_brute reproduces them to < 2e-12)
 CI_ORACLE = {
