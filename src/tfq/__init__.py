@@ -27,8 +27,6 @@ from .grid import (
     TFMatrix,
     assert_central_support,
     centered_signal_axis,
-    circular_convolve,
-    compose_j,
     dft,
     signal_from_function,
     symplectic_fourier,
@@ -60,7 +58,6 @@ from .distributions import (
     born_jordan_direct,
     cohen,
     stft,
-    tau_wigner_direct,
     wigner,
     wigner_grid,
 )

@@ -42,6 +42,19 @@ def _exponent(text: str) -> float:
     return float(text)
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: convert the text, then reject values failing ``ok``
+    (argparse names the flag and exits 2)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _exp_out(value: float):
     return "inf" if np.isinf(value) else value
 
@@ -123,9 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["gaussian_mod", "gaussian_amalgam", "bump_amalgam"])
     ps.add_argument("--p", type=_exponent, required=True)
     ps.add_argument("--q", type=_exponent, required=True)
-    ps.add_argument("--lambda-min", type=float, required=True)
-    ps.add_argument("--lambda-max", type=float, required=True)
-    ps.add_argument("--points", type=int, default=8)
+    dilation = _checked(float, lambda v: 0.0 < v < np.inf, "positive and finite")
+    ps.add_argument("--lambda-min", type=dilation, required=True)
+    ps.add_argument("--lambda-max", type=dilation, required=True)
+    ps.add_argument("--points", type=_checked(int, lambda v: v >= 6, "at least 6"),
+                    default=8)
     ps.add_argument("--json", action="store_true")
     ps.add_argument("--output")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, GridError, WindowError
+from .errors import GridError, WindowError
 from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, assert_central_support
 from .kernels import (
     DELTA,
@@ -194,38 +194,3 @@ def born_jordan_direct(f: SampledSignal, g: SampledSignal | None = None) -> TFMa
     np.fft.ifftn(conv, axes=(0, 1), out=conv)
     vals = conv[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1] * dx * dw
     return TFMatrix(vals, grid, PHASE_SPACE)
-
-
-def tau_wigner_direct(f: SampledSignal, g: SampledSignal | None, tau: float) -> TFMatrix:
-    """Direct tau-distribution via spectral fractional delays.
-
-    Evaluates int e^{-2pi i y w} f(x + tau y) conj(g(x - (1-tau) y)) dy on
-    the same half-Nyquist grid as ``wigner`` (lag step 2 dx), with
-    f and g shifted in the DFT domain; exact for band-limited inputs
-    occupying at most half the Nyquist band.  Serves as the oracle for
-    ``cohen`` with a tau kernel; tau = 1/2 reduces to the plain engine.
-    """
-    if g is None:
-        g = f
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError("tau must lie in [0, 1]")
-    if not f.same_grid(g):
-        raise GridError("tau_wigner_direct requires a common grid")
-    assert_central_support(f)
-    assert_central_support(g)
-    n = f.n
-    dx = f.dx
-    m = np.arange(-n // 2, n // 2)
-    nu = np.fft.fftfreq(n, dx)
-    fh = np.fft.fft(f.samples)
-    gh = np.fft.fft(g.samples)
-    shift_f = np.exp(2j * np.pi * np.outer(2.0 * tau * m * dx, nu))
-    shift_g = np.exp(-2j * np.pi * np.outer(2.0 * (1.0 - tau) * m * dx, nu))
-    fs = np.fft.ifft(fh[None, :] * shift_f, axis=1)
-    gs = np.fft.ifft(gh[None, :] * shift_g, axis=1)
-    r = fs * np.conj(gs)
-    # genuine correlations vanish beyond half the window; clearing the outer
-    # lags removes circular-shift aliases of the fractional delays
-    r[np.abs(m) > n // 4, :] = 0.0
-    r[1::2] *= -1.0  # the lag phase (-1)^m of ``_correlation``
-    return TFMatrix(_lag_step(r.T.copy(), dx), wigner_grid(f), PHASE_SPACE)

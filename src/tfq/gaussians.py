@@ -18,10 +18,15 @@ import numpy as np
 from .errors import DomainError
 
 
+def _check_dilation(lam: float) -> None:
+    """Reject a dilation outside 0 < lam < inf (NaN included)."""
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"dilation must be positive and finite, got {lam!r}")
+
+
 def gaussian(x, lam: float = 1.0):
     """phi_lam(x) = e^{-pi lam x^2}."""
-    if lam <= 0:
-        raise DomainError("dilation must be positive")
+    _check_dilation(lam)
     return np.exp(-np.pi * lam * np.asarray(x, dtype=float) ** 2)
 
 
@@ -31,8 +36,7 @@ def wigner_gaussian(lam: float, x, w):
     (2/sqrt(lam+1)) e^{-4 pi lam x^2/(lam+1)} e^{-4 pi w^2/(lam+1)}
     e^{-4 pi i (lam-1) x w/(lam+1)}.
     """
-    if lam <= 0:
-        raise DomainError("dilation must be positive")
+    _check_dilation(lam)
     c = lam + 1.0
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -47,8 +51,7 @@ def wigner_gaussian(lam: float, x, w):
 def wigner_gaussian_diag(lam: float, x, w):
     """Diagonal W(phi_lam, phi_lam)(x, w) = 2^{1/2} lam^{-1/2}
     phi(sqrt(2 lam) x) phi(sqrt(2/lam) w)."""
-    if lam <= 0:
-        raise DomainError("dilation must be positive")
+    _check_dilation(lam)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     return (
@@ -67,8 +70,7 @@ def fourier_wigner_gaussian(lam: float, z1, z2, variant: str = "symplectic"):
                 (lam+1)^{-1/2} e^{-pi lam z1^2/c} e^{-pi z2^2/c}
                 e^{-pi i (lam-1) z1 z2 / c}
     """
-    if lam <= 0:
-        raise DomainError("dilation must be positive")
+    _check_dilation(lam)
     c = lam + 1.0
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)

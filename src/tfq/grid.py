@@ -94,13 +94,18 @@ def signal_from_function(fn, n: int, dx: float) -> SampledSignal:
     return SampledSignal(np.asarray(fn(x), dtype=complex), x0=float(x[0]), dx=dx)
 
 
-def assert_central_support(sig: SampledSignal, rel_floor: float = 1e-13) -> None:
-    """Reject signals whose support leaks out of the central half-window."""
+_SUPPORT_FLOOR = 1e-13  # samples above this fraction of the peak are support
+
+
+def assert_central_support(sig: SampledSignal) -> None:
+    """Reject signals whose support leaks out of the central half-window:
+    support is every sample above ``_SUPPORT_FLOOR`` = 1e-13 times the
+    peak magnitude."""
     mags = np.abs(sig.samples)
     peak = mags.max()
     if peak == 0.0:
         return
-    idx = np.nonzero(mags > rel_floor * peak)[0]
+    idx = np.nonzero(mags > _SUPPORT_FLOOR * peak)[0]
     lo, hi = idx.min(), idx.max()
     n = sig.n
     if lo < n // 4 or hi >= 3 * n // 4:
@@ -135,6 +140,8 @@ class PhaseSpaceGrid:
     @classmethod
     def dft_compatible(cls, n: int, dx: float) -> "PhaseSpaceGrid":
         """Square grid with dw = 1/(n dx), so dx dw n = 1 exactly."""
+        if not (n >= 1 and dx > 0):
+            raise GridError(f"a DFT grid needs n >= 1 and dx > 0, got n={n}, dx={dx}")
         return cls.centered(n, dx, n, 1.0 / (n * dx))
 
     @property
@@ -154,17 +161,6 @@ class PhaseSpaceGrid:
             self.x0, -self.nx * self.dx / 2.0, rtol=0, atol=_ORIGIN_RTOL * self.dx
         ) and np.isclose(
             self.w0, -self.nw * self.dw / 2.0, rtol=0, atol=_ORIGIN_RTOL * self.dw
-        )
-
-    def is_dft_compatible(self) -> bool:
-        return self.nx == self.nw and abs(self.dx * self.dw * self.nx - 1.0) < 1e-12
-
-    def is_j_closed(self) -> bool:
-        """True when the two axes coincide, so J acts by index permutation."""
-        return (
-            self.nx == self.nw
-            and np.isclose(self.dx, self.dw, rtol=_ORIGIN_RTOL, atol=0)
-            and np.isclose(self.x0, self.w0, rtol=0, atol=_ORIGIN_RTOL * self.dx)
         )
 
     def dual(self) -> "PhaseSpaceGrid":
@@ -284,28 +280,3 @@ def symplectic_fourier(m: TFMatrix) -> TFMatrix:
     v[:, 1::2] *= -1.0
     tag = AMBIGUITY if m.domain_tag == PHASE_SPACE else PHASE_SPACE
     return TFMatrix(v.T, g.dual(), tag)
-
-
-def circular_convolve(a: TFMatrix, b: TFMatrix) -> TFMatrix:
-    """Grid convolution (a * b)[u] = sum_v a[v] b[u - v] dx dw, circular.
-
-    Satisfies Fs[a * b] = Fs a . Fs b exactly on matching grids.
-    """
-    if not a.grid.close_to(b.grid):
-        raise GridError("convolution requires matching grids")
-    n = a.grid.nx
-    # index the second factor relative to the (centered) origin cell
-    fa = np.fft.fft2(np.fft.ifftshift(a.values))
-    fb = np.fft.fft2(np.fft.ifftshift(b.values))
-    out = np.fft.fftshift(np.fft.ifft2(fa * fb)) * a.grid.cell_measure
-    return TFMatrix(out, a.grid, a.domain_tag)
-
-
-def compose_j(m: TFMatrix) -> TFMatrix:
-    """Sample of F(J z) = F(w, -x) on a J-closed grid, by index permutation."""
-    if not m.grid.is_j_closed():
-        raise GridError("composition with J needs identical centered axes")
-    n = m.grid.nx
-    neg = (-np.arange(n)) % n  # index of -x_i on the centered axis
-    out = m.values[:, neg].T  # out[i, j] = values[j, index(-x_i)]
-    return TFMatrix(out, m.grid, m.domain_tag)

@@ -23,6 +23,7 @@ from .grid import PhaseSpaceGrid, SampledSignal, TFMatrix
 
 MATRIX_FORMAT = "tfq-matrix"
 MATRIX_VERSION = 1
+MATRIX_DTYPE = "float64-le-interleaved"
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
@@ -102,7 +103,7 @@ def write_matrix(m: TFMatrix, path) -> None:
         "w0": g.w0,
         "dw": g.dw,
         "domain": m.domain_tag,
-        "dtype": "float64-le-interleaved",
+        "dtype": MATRIX_DTYPE,
     }
     head = json.dumps(header).encode()
     inter = np.empty((g.nx, g.nw, 2), dtype="<f8")
@@ -119,6 +120,10 @@ def read_matrix(path) -> TFMatrix:
     header = json.loads(raw[4 : 4 + hlen].decode())
     if not isinstance(header, dict) or header.get("format") != MATRIX_FORMAT:
         raise ValueError(f"{path}: not a {MATRIX_FORMAT} file")
+    for key, want in (("version", MATRIX_VERSION), ("dtype", MATRIX_DTYPE)):
+        got = header.get(key)
+        if type(got) is not type(want) or got != want:  # true == 1 in Python
+            raise ValueError(f"{path}: {key} {got!r} is not {want!r}")
     nx, x0, dx, nw, w0, dw, domain = _fields(header, {
         "nx": int, "x0": float, "dx": float, "nw": int, "w0": float, "dw": float,
         "domain": str,

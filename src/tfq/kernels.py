@@ -152,7 +152,10 @@ def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
 # ---------------------------------------------------------------------------
 # growth of |Theta|^p over expanding boxes
 
-def theta_growth_integral(p: float, R: float, u_exact: float = 16384.0) -> float:
+_U_EXACT = 16384.0  # the growth integral's u-panels stop here; closed-form tail beyond
+
+
+def theta_growth_integral(p: float, R: float) -> float:
     """I_p(R) = iint_{[-R,R]^2} |sinc(x w)|^p dx dw.
 
     Along hyperbolic bands u = x w the box measure is exactly
@@ -161,8 +164,8 @@ def theta_growth_integral(p: float, R: float, u_exact: float = 16384.0) -> float
         I_p(R) = 4 int_0^{R^2} |sinc u|^p log(R^2/u) du.
 
     The u integral uses unit panels aligned with the sinc zeros (dyadically
-    refined toward the logarithmic endpoint u = 0); beyond ``u_exact`` the
-    per-period average of |sin|^p turns the tail into a closed form.
+    refined toward the logarithmic endpoint u = 0); beyond ``_U_EXACT`` =
+    16384 the per-period average of |sin|^p turns the tail into a closed form.
     Relative error is well below 1e-4 across the admissible range.
     """
     if not 1.0 <= p <= 8.0:
@@ -170,7 +173,7 @@ def theta_growth_integral(p: float, R: float, u_exact: float = 16384.0) -> float
     if not 1.0 <= R <= 1.0e4:
         raise DomainError("box half-width must lie in [1, 1e4]")
     R2 = R * R
-    u_hi = min(R2, float(u_exact))
+    u_hi = min(R2, _U_EXACT)
     glx, glw = gauss_legendre(12)
 
     head_end = min(1.0, u_hi)
@@ -231,6 +234,9 @@ def vg_theta(z1: float, z2: float, zeta1: float, zeta2: float, tol: float = 1e-6
     return complex(vg_theta_grid(z1, z2, [zeta1], [zeta2], tol)[0][0, 0])
 
 
+_MAX_PANELS = 1024  # sub-panel budget of vg_theta_grid: phase rate up to 8192
+
+
 def vg_theta_grid(z1, z2, zeta1_axis, zeta2_axis, tol: float = 1e-6):
     """STFT of the sinc kernel against g(x, w) = e^{-pi(x^2 + w^2)} for one
     window position z over the outer grid of (zeta1, zeta2), in a single
@@ -250,7 +256,9 @@ def vg_theta_grid(z1, z2, zeta1_axis, zeta2_axis, tol: float = 1e-6):
     Raises:
         DomainError: when z1, z2 or any zeta is non-finite, or a zeta axis
             is empty.
-        AccuracyError: when the estimated error exceeds ``tol``.
+        AccuracyError: when the estimated error exceeds ``tol``, or at once
+            (``achieved`` = inf) when the phase rate needs more than
+            ``_MAX_PANELS`` = 1024 sub-panels.
     """
     zeta1_axis = np.asarray(zeta1_axis, dtype=float)
     zeta2_axis = np.asarray(zeta2_axis, dtype=float)
@@ -261,7 +269,13 @@ def vg_theta_grid(z1, z2, zeta1_axis, zeta2_axis, tol: float = 1e-6):
     Z1 = zeta1_axis[:, None]
     Z2 = zeta2_axis[None, :]
     rate = float(np.max(np.abs(Z1 * Z2 - z1 * z2) + np.abs(z1 * Z1 + z2 * Z2)))
-    e = np.linspace(-0.5, 0.5, max(1, int(np.ceil(rate / 8.0))) + 1)
+    panels = max(1, int(np.ceil(rate / 8.0)))
+    if panels > _MAX_PANELS:
+        raise AccuracyError(
+            f"vg_theta_grid needs {panels} sub-panels (budget {_MAX_PANELS})",
+            achieved=np.inf,
+        )
+    e = np.linspace(-0.5, 0.5, panels + 1)
     mid = 0.5 * (e[:-1] + e[1:])
     half = 0.5 * (e[1:] - e[:-1])
     v32, v20 = (  # the 32- and 20-node rules over the sub-panels

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ResolutionError
-from .gaussians import gaussian
+from .gaussians import _check_dilation, gaussian
 from .grid import SampledSignal, TFMatrix, signal_from_function
 from .distributions import wigner_grid
 from .distributions import _correlation, _filtered, _lag_axes, _lag_step
@@ -161,7 +161,8 @@ class ScalingFit:
 
 
 def fit_loglog(lams: Sequence[float], norms: Sequence[float]) -> ScalingFit:
-    """Ordinary least squares of log-norm against log-dilation."""
+    """Ordinary least squares of log-norm against log-dilation over at least
+    six distinct, positive dilations."""
     lams = np.asarray(lams, dtype=float)
     norms = np.asarray(norms, dtype=float)
     if len(lams) < 6:
@@ -169,6 +170,9 @@ def fit_loglog(lams: Sequence[float], norms: Sequence[float]) -> ScalingFit:
     for name, v in (("dilations", lams), ("norms", norms)):
         if not (np.isfinite(v).all() and (v > 0).all()):
             raise DomainError(f"{name} must be positive and finite")
+    # sorted neighbours, not np.unique: that imports numpy.ma (~1.5 MB RSS)
+    if (np.diff(np.sort(lams)) == 0.0).any():
+        raise DomainError("dilations must be distinct")
     lx = np.log(lams)
     ly = np.log(norms)
     design = np.vstack([lx, np.ones_like(lx)]).T
@@ -203,8 +207,7 @@ def _sweep_signal(family: str, lam: float) -> SampledSignal:
     analysis window never drops below sixteen samples; the window length is
     1.15 x the combined supports (the circular-shift wrap condition).
     """
-    if lam <= 0:
-        raise DomainError("dilation must be positive")
+    _check_dilation(lam)
     if family in ("gaussian_mod", "gaussian_amalgam"):
         half_f = _GAUSS_RADIUS / np.sqrt(lam)
         dx = min(1.0, lam**-0.5) / 16.0
@@ -282,16 +285,17 @@ class GhostReport:
     ratio_vs_wigner: float
 
 
-def interference_region(
-    center_x: float, center_w: float, grid, half_cells: int = 2
-) -> Rect:
-    """Rectangle of +- ``half_cells`` grid cells around a midpoint."""
-    eps = 1e-9
+_HALF_CELLS = 2  # half-width of the interference region, in grid cells
+
+
+def interference_region(center_x: float, center_w: float, grid) -> Rect:
+    """Rectangle of +- ``_HALF_CELLS`` = 2 grid cells around a midpoint."""
+    reach = _HALF_CELLS + 1e-9  # the edge cells stay inside despite rounding
     return Rect(
-        x_lo=center_x - (half_cells + eps) * grid.dx,
-        x_hi=center_x + (half_cells + eps) * grid.dx,
-        w_lo=center_w - (half_cells + eps) * grid.dw,
-        w_hi=center_w + (half_cells + eps) * grid.dw,
+        x_lo=center_x - reach * grid.dx,
+        x_hi=center_x + reach * grid.dx,
+        w_lo=center_w - reach * grid.dw,
+        w_hi=center_w + reach * grid.dw,
     )
 
 

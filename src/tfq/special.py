@@ -104,19 +104,6 @@ def _cumulative_tail(fn):
     return np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
 
 
-def _mid_tail(fn, t):
-    """int_t^inf fn(s)/s ds for fn = cos or sin and 4 < t < 32: the partial
-    panel [t, next unit edge], the cached unit panels up to 64, then the
-    asymptotic tail beyond 64."""
-    nxt = np.minimum(np.searchsorted(_EDGES, t, side="right"), len(_EDGES) - 1)
-    far = np.array([_QUAD_FAR])
-    if fn is np.cos:
-        tail = -_ci_asymptotic(far)[0]
-    else:
-        tail = np.pi / 2 - _si_asymptotic(far)[0]
-    return _panel_integrals(fn, t, _EDGES[nxt]) + _cumulative_tail(fn)[nxt] + tail
-
-
 def _si_series(t):
     out = t.copy()
     u = t.copy()
@@ -125,6 +112,27 @@ def _si_series(t):
         u = u * (-t2) / ((2 * k) * (2 * k + 1))
         out = out + u / (2 * k + 1)
     return out
+
+
+def _on_branches(t, arr, series, fn, asymptotic, reflect):
+    """Ci or Si on its three branches; ``reflect`` turns the tail
+    int_t^inf fn(s)/s ds into the value and back (Ci = -tail, Si = pi/2 -
+    tail).  The mid branch sums the partial panel [t, next unit edge], the
+    cached unit panels up to 64 and the asymptotic tail beyond 64."""
+    out = np.empty_like(arr)
+    lo = arr <= _SERIES_CUT
+    hi = arr >= _ASYM_CUT
+    mid = ~lo & ~hi
+    if lo.any():
+        out[lo] = series(arr[lo])
+    if mid.any():
+        m = arr[mid]
+        nxt = np.minimum(np.searchsorted(_EDGES, m, side="right"), len(_EDGES) - 1)
+        far = reflect(asymptotic(np.array([_QUAD_FAR]))[0])
+        out[mid] = reflect(_panel_integrals(fn, m, _EDGES[nxt]) + _cumulative_tail(fn)[nxt] + far)
+    if hi.any():
+        out[hi] = asymptotic(arr[hi])
+    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +147,7 @@ def cosine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("cosine_integral requires t > 0")
-    out = np.empty_like(arr)
-    lo = arr <= _SERIES_CUT
-    hi = arr >= _ASYM_CUT
-    mid = ~lo & ~hi
-    if lo.any():
-        out[lo] = _ci_series(arr[lo])
-    if mid.any():
-        out[mid] = -_mid_tail(np.cos, arr[mid])
-    if hi.any():
-        out[hi] = _ci_asymptotic(arr[hi])
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _on_branches(t, arr, _ci_series, np.cos, _ci_asymptotic, lambda v: -v)
 
 
 def sine_integral(t):
@@ -157,14 +155,4 @@ def sine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("sine_integral requires t >= 0")
-    out = np.empty_like(arr)
-    lo = arr <= _SERIES_CUT
-    hi = arr >= _ASYM_CUT
-    mid = ~lo & ~hi
-    if lo.any():
-        out[lo] = _si_series(arr[lo])
-    if mid.any():
-        out[mid] = np.pi / 2 - _mid_tail(np.sin, arr[mid])
-    if hi.any():
-        out[hi] = _si_asymptotic(arr[hi])
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _on_branches(t, arr, _si_series, np.sin, _si_asymptotic, lambda v: np.pi / 2 - v)

@@ -67,7 +67,7 @@ def synth(recipe: SignalRecipe) -> SampledSignal:
         elif recipe.kind == "chirp":
             rate = p.get("rate", 1.0)
             samples = gaussian(x) * np.exp(1j * np.pi * rate * x**2)
-        sig = SampledSignal(samples, x0=float(x[0]), dx=recipe.dx)
+        sig = SampledSignal(samples, x0=-recipe.n * recipe.dx / 2.0, dx=recipe.dx)
     try:
         assert_central_support(sig)
     except Exception as exc:

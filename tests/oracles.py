@@ -11,6 +11,14 @@ distributions, with neither the multiplier nor Ci.  Two are the library's
 former routes, kept as references: Ci evaluated on one named branch
 (``ci_evaluate``), and the kernel STFT on dyadic t-panels
 (``vg_theta_grid_dyadic``).
+
+The rest were library functions that only the tests called:
+``tau_wigner_direct`` (the tau-distribution by spectral fractional delays,
+with its own lag FFT, the oracle for ``cohen`` with a tau kernel),
+``circular_convolve`` (the grid convolution behind the convolution
+identity of the symplectic transform), and ``compose_j`` with
+``is_j_closed`` (a matrix composed with the rotation J on a grid whose two
+axes coincide).
 """
 
 from dataclasses import dataclass
@@ -19,14 +27,19 @@ from math import fsum
 import numpy as np
 
 from tfq import (
+    PHASE_SPACE,
     DomainError,
+    GridError,
+    TFMatrix,
     ambiguity_multiplier,
+    assert_central_support,
     cosine_integral,
     sine_integral,
     symplectic_fourier,
-    tau_wigner_direct,
     wigner,
+    wigner_grid,
 )
+from tfq.grid import _ORIGIN_RTOL
 from tfq.kernels import _vg_integrand
 from tfq.special import _ASYM_CUT, _SERIES_CUT, _ci_asymptotic, _ci_series
 
@@ -252,3 +265,75 @@ def born_jordan_tau_average(f, g, order):
     for t, wt in zip(0.5 + 0.5 * x, 0.5 * w):
         out += wt * tau_wigner_direct(f, g, t).values
     return out
+
+
+def tau_wigner_direct(f, g, tau):
+    """Direct tau-distribution via spectral fractional delays.
+
+    Evaluates int e^{-2pi i y w} f(x + tau y) conj(g(x - (1-tau) y)) dy on
+    the same half-Nyquist grid as ``wigner`` (lag step 2 dx), with
+    f and g shifted in the DFT domain; exact for band-limited inputs
+    occupying at most half the Nyquist band.  The oracle for ``cohen`` with
+    a tau kernel (tau = 1/2 reduces to the plain engine): it does its own
+    lag FFT, so it shares no evaluation code with the engine it checks.
+    """
+    if g is None:
+        g = f
+    if not 0.0 <= tau <= 1.0:
+        raise DomainError("tau must lie in [0, 1]")
+    if not f.same_grid(g):
+        raise GridError("tau_wigner_direct requires a common grid")
+    assert_central_support(f)
+    assert_central_support(g)
+    n = f.n
+    dx = f.dx
+    m = np.arange(-n // 2, n // 2)
+    nu = np.fft.fftfreq(n, dx)
+    fh = np.fft.fft(f.samples)
+    gh = np.fft.fft(g.samples)
+    shift_f = np.exp(2j * np.pi * np.outer(2.0 * tau * m * dx, nu))
+    shift_g = np.exp(-2j * np.pi * np.outer(2.0 * (1.0 - tau) * m * dx, nu))
+    fs = np.fft.ifft(fh[None, :] * shift_f, axis=1)
+    gs = np.fft.ifft(gh[None, :] * shift_g, axis=1)
+    r = fs * np.conj(gs)
+    # genuine correlations vanish beyond half the window; clearing the outer
+    # lags removes circular-shift aliases of the fractional delays
+    r[np.abs(m) > n // 4, :] = 0.0
+    r[1::2] *= -1.0  # the lag phase (-1)^m
+    vals = np.fft.fft(r.T, axis=1) * (2.0 * dx)  # lag FFT, times 2 dx (-1)^k
+    vals[:, 1::2] *= -1.0
+    return TFMatrix(vals, wigner_grid(f), PHASE_SPACE)
+
+
+def circular_convolve(a, b):
+    """Grid convolution (a * b)[u] = sum_v a[v] b[u - v] dx dw, circular.
+
+    Satisfies Fs[a * b] = Fs a . Fs b exactly on matching grids.
+    """
+    if not a.grid.close_to(b.grid):
+        raise GridError("convolution requires matching grids")
+    # index the second factor relative to the (centered) origin cell
+    fa = np.fft.fft2(np.fft.ifftshift(a.values))
+    fb = np.fft.fft2(np.fft.ifftshift(b.values))
+    out = np.fft.fftshift(np.fft.ifft2(fa * fb)) * a.grid.cell_measure
+    return TFMatrix(out, a.grid, a.domain_tag)
+
+
+def is_j_closed(grid):
+    """True when the two axes of ``grid`` coincide, so J acts by index
+    permutation."""
+    return (
+        grid.nx == grid.nw
+        and np.isclose(grid.dx, grid.dw, rtol=_ORIGIN_RTOL, atol=0)
+        and np.isclose(grid.x0, grid.w0, rtol=0, atol=_ORIGIN_RTOL * grid.dx)
+    )
+
+
+def compose_j(m):
+    """Sample of F(J z) = F(w, -x) on a J-closed grid, by index permutation."""
+    if not is_j_closed(m.grid):
+        raise GridError("composition with J needs identical centered axes")
+    n = m.grid.nx
+    neg = (-np.arange(n)) % n  # index of -x_i on the centered axis
+    out = m.values[:, neg].T  # out[i, j] = values[j, index(-x_i)]
+    return TFMatrix(out, m.grid, m.domain_tag)

@@ -243,8 +243,8 @@ def test_sidecar_missing_key_exits_3(tmp_path, capsys, drop):
     assert drop in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("drop", ["domain", "nx", "nw"])
-def test_matrix_header_missing_key_exits_3(tmp_path, capsys, drop):
+def _op_on_edited_symbol(tmp_path, edit) -> int:
+    """Exit code of ``op`` on a symbol file whose JSON header ``edit`` changed."""
     sig = tmp_path / "f.csv"
     mat = tmp_path / "a.mat"
     run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25", "--output", str(sig)])
@@ -252,11 +252,16 @@ def test_matrix_header_missing_key_exits_3(tmp_path, capsys, drop):
     raw = mat.read_bytes()
     (hlen,) = struct.unpack("<I", raw[:4])
     header = json.loads(raw[4 : 4 + hlen])
-    del header[drop]
+    edit(header)
     head = json.dumps(header).encode()
     mat.write_bytes(struct.pack("<I", len(head)) + head + raw[4 + hlen :])
-    assert run(["op", "--rule", "weyl", "--symbol", str(mat), "--input", str(sig),
-                "--output", str(tmp_path / "out.csv")]) == 3
+    return run(["op", "--rule", "weyl", "--symbol", str(mat), "--input", str(sig),
+                "--output", str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("drop", ["domain", "nx", "nw"])
+def test_matrix_header_missing_key_exits_3(tmp_path, capsys, drop):
+    assert _op_on_edited_symbol(tmp_path, lambda header: header.pop(drop)) == 3
     err = capsys.readouterr().err
     assert drop in err and "Traceback" not in err
 
@@ -268,3 +273,38 @@ def test_bad_threads_variable_exits_2(monkeypatch, capsys):
                 "--points", "6"]) == 2
     err = capsys.readouterr().err
     assert "TFQ_THREADS" in err and "Traceback" not in err
+
+
+_SCALING = ["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--q", "2"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["kernel", "--kind", "bj", "--n", "0"], "n=0"),
+    (["kernel", "--kind", "bj", "--dx", "0"], "dx=0"),
+    (["synth", "--kind", "gaussian", "--n", "0"], "sample count"),
+    (["experiment", "ghost", "--n", "0"], "sample count"),
+    (["oracle", "--which", "wigner", "--lam", "nan", "--json"], "dilation"),
+    (["oracle", "--which", "fourier-plain", "--lam", "inf"], "dilation"),
+    (_SCALING + ["--lambda-min", "1", "--lambda-max", "inf"], "--lambda-max"),
+    (_SCALING + ["--lambda-min", "nan", "--lambda-max", "4"], "--lambda-min"),
+    (_SCALING + ["--lambda-min", "0", "--lambda-max", "4"], "--lambda-min"),
+    (_SCALING + ["--lambda-min", "1", "--lambda-max", "4", "--points", "-1"], "--points"),
+    (_SCALING + ["--lambda-min", "5", "--lambda-max", "5"], "distinct"),
+])
+def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
+    out = tmp_path / "k.mat"
+    if argv[0] in ("kernel", "synth"):
+        argv = argv + ["--output", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("version", 2), ("version", True), ("dtype", "float32-le-interleaved"),
+])
+def test_matrix_header_unsupported_value_exits_3(tmp_path, capsys, key, value):
+    assert _op_on_edited_symbol(tmp_path, lambda header: header.update({key: value})) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err

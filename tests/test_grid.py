@@ -12,14 +12,13 @@ from tfq import (
     SizeError,
     TFMatrix,
     assert_central_support,
-    circular_convolve,
-    compose_j,
     dft,
     signal_from_function,
     symplectic_fourier,
 )
 
 from conftest import band_limited_signal, gaussian_signal, sup_rel_error
+from oracles import circular_convolve, compose_j
 
 
 def random_matrix(rng, n=64, dx=1 / 8, dw=None):

@@ -409,3 +409,13 @@ def test_vg_theta_accuracy_error_carries_bound():
     with pytest.raises(AccuracyError) as info:
         vg_theta(0.5, -0.4, 1.0, 2.0, tol=1e-30)
     assert info.value.achieved > 1e-30
+
+
+def test_vg_theta_grid_panel_budget_raises_before_allocating():
+    # the phase rate at z = (1e9, 0) asks for ~1.2e8 sub-panels; the budget
+    # ends the call before any per-panel array exists
+    from tfq import AccuracyError
+
+    with pytest.raises(AccuracyError, match="budget") as info:
+        vg_theta_grid(1e9, 0.0, [1.0], [0.0])
+    assert info.value.achieved == np.inf

@@ -264,3 +264,13 @@ def test_ghost_region_outside_grid(rng):
                            params={"dt": 4.0, "dnu": 0.0}))
     with pytest.raises(DomainError):
         ghost_energy_report(f, [], Rect(100.0, 101.0, 0.0, 0.1))
+
+
+def test_fit_loglog_rejects_repeated_dilations():
+    lams = np.geomspace(1, 100, 8)
+    vals = lams**-0.5
+    with pytest.raises(DomainError, match="distinct"):
+        fit_loglog(np.full(8, 5.0), np.full(8, 0.3))
+    lams[3] = lams[2]
+    with pytest.raises(DomainError, match="distinct"):
+        fit_loglog(lams, vals)
