@@ -294,7 +294,7 @@ def _cmd_experiment(args) -> int:
                  f"ratio={r.ratio_vs_wigner:.6f}" for r in rows]
     out_path = getattr(args, "output", None)
     if out_path:
-        tfq_io._atomic_write(out_path, json.dumps(report, indent=2).encode())
+        tfq_io._atomic_write(out_path, [json.dumps(report, indent=2).encode()])
     _emit(report, args.json, lines)
     return 0
 

@@ -12,6 +12,15 @@ The lag phase is (-1)^m and, with centred lag storage, the output phase
 (-1)^k, whatever x0 is: ``wigner`` is one correlation and one in-place lag
 FFT.  ``cohen`` filters the correlation's time FFT (the ambiguity function)
 in place first; ``ambiguity_filter`` filters a phase-space matrix.
+
+On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
+the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
+symmetry (it is real and even), so ``wigner`` and ``born_jordan`` build
+only the n/2 + 1 lags m >= 0 and finish with one real inverse FFT per row:
+half the lag work and a float64 result.  On the engines' lattice the
+product z1 z2 is exactly 2 k m / n for integer time frequency k and lag m,
+so the Born-Jordan multiplier sinc(z1 z2) is read from a sine table
+instead of evaluated from rounded products.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GridError, WindowError
 from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, assert_central_support
 from .kernels import (
+    BORN_JORDAN,
     DELTA,
     TAU,
     CohenKernel,
@@ -80,10 +90,13 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=-n * dw / 2.0, dw=dw)
 
 
-def _correlation(f: SampledSignal, g: SampledSignal | None) -> np.ndarray:
-    """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2; the lag sign
+def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False) -> np.ndarray:
+    """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2, or with
+    ``half`` at column m for the lags m = 0..n/2 only; the lag sign
     i^(i + m) i^-(i - m) rides on the signals, so the product of two sliding
-    windows over the zero-padded signals is the only n x n allocation."""
+    windows over the zero-padded signals is the only n x n allocation.
+    Lag -n/2 (and n/2) pairs samples a half-window apart, zero under the
+    central-support guard, so the half layout loses nothing."""
     if g is None:
         g = f
     if not f.same_grid(g):
@@ -91,60 +104,103 @@ def _correlation(f: SampledSignal, g: SampledSignal | None) -> np.ndarray:
     assert_central_support(f)
     assert_central_support(g)
     n = f.n
+    cols, lo = (n // 2 + 1, n // 2) if half else (n, 0)
     quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
     pad = np.zeros(n // 2, dtype=complex)
     fp = np.concatenate([pad, f.samples * quarter, pad])
     gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
-    return sliding_window_view(fp, n)[:n] * sliding_window_view(gp, n)[n - 1 :: -1]
+    rows = slice(lo, lo + n)
+    return sliding_window_view(fp, cols)[rows] * sliding_window_view(gp, cols)[rows][::-1]
 
 
-def _lag_step(r: np.ndarray, dx: float) -> np.ndarray:
-    """In place: lag FFT of ``_correlation`` rows, times 2 dx (-1)^k."""
-    np.fft.fft(r, axis=1, out=r)
-    r[:, 0::2] *= 2.0 * dx
-    r[:, 1::2] *= -2.0 * dx
-    return r
+def _lag_step(r: np.ndarray, dx: float, half: bool = False) -> np.ndarray:
+    """Lag FFT of ``_correlation`` rows, times 2 dx: in place with the sign
+    (-1)^k on all n lags; with ``half``, on the n/2 + 1 lags m >= 0 of a
+    Hermitian correlation, a real inverse FFT of the conjugate into a new
+    float64 array (sum_m r[m] e^{-2 pi i m k / n} is real there, so it
+    equals its conjugate, n times the inverse real FFT of conj(r))."""
+    if not half:
+        np.fft.fft(r, axis=1, out=r)
+        r[:, 0::2] *= 2.0 * dx
+        r[:, 1::2] *= -2.0 * dx
+        return r
+    n = 2 * (r.shape[1] - 1)
+    np.conj(r, out=r)
+    out = np.fft.irfft(r, n, axis=1, norm="forward", out=np.empty((len(r), n)))
+    out *= 2.0 * dx
+    return out
 
 
-def _lag_axes(f: SampledSignal) -> tuple[np.ndarray, np.ndarray]:
-    """(z1, z2) of the time-FFT'd correlation's columns and rows."""
-    return 2.0 * f.dx * np.arange(-f.n // 2, f.n // 2), np.fft.fftfreq(f.n, f.dx)
+def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """sinc(2 k m / n) at integer rows k and columns m, as the real array
+    sin_table[k m mod n] / (2 pi k m / n) (1 where k m = 0), n a power of
+    two: exact integer phases, where ``np.sinc`` would round z1 z2 (up to
+    about n/2) before scaling by pi."""
+    km = np.multiply.outer(k, m)
+    den = km * (2.0 * np.pi / n)
+    out = np.sin((2.0 * np.pi / n) * np.arange(n))[np.bitwise_and(km, n - 1, out=km)]
+    # k m = 0 only on the row k = 0 and the column m = 0, where sinc is 1
+    out[k == 0] = den[k == 0] = 1.0
+    out[:, m == 0] = den[:, m == 0] = 1.0
+    out /= den
+    return out
 
 
 _BLOCKS = 16  # row blocks per multiplier pass: no n x n multiplier at once
 
 
-def _filtered(spec, kernel: CohenKernel, z1, z2, axes, conj: bool = False):
-    """In place: multiply spectrum row k, column j by the kernel's (or with
-    ``conj`` its conjugate) multiplier at (z1[j], z2[k]); invert the FFT."""
-    rows = -(-len(z2) // _BLOCKS)
-    for k in range(0, len(z2), rows):
-        mult = ambiguity_multiplier(kernel, z1[None, :], z2[k : k + rows, None])
-        spec[k : k + rows] *= np.conj(mult) if conj else mult
+def _lag_multiplier(kernel: CohenKernel, f: SampledSignal, lags: np.ndarray):
+    """Row-block multiplier of the correlation's time FFT: row k at time
+    frequency z2 = k / (n dx) in FFT order, column j at lag z1 = 2 lags[j] dx.
+    Born-Jordan comes from ``_sinc_lattice`` (z1 z2 = 2 k m / n exactly);
+    other kernels from ``ambiguity_multiplier``."""
+    n = f.n
+    if kernel.kind == BORN_JORDAN:
+        k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+        return lambda rows: _sinc_lattice(k[rows], lags, n)
+    z1, z2 = 2.0 * f.dx * lags, np.fft.fftfreq(n, f.dx)
+    return lambda rows: ambiguity_multiplier(kernel, z1[None, :], z2[rows, None])
+
+
+def _filtered(spec: np.ndarray, mult, axes) -> np.ndarray:
+    """In place: multiply the spectrum's rows by ``mult(rows)``, one block of
+    rows at a time; invert the FFT over ``axes``."""
+    step = -(-len(spec) // _BLOCKS)
+    for k in range(0, len(spec), step):
+        rows = slice(k, k + step)
+        spec[rows] *= mult(rows)
     return np.fft.ifftn(spec, axes=axes, out=spec)
 
 
 def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     """Cross-distribution W(f, g) by exact integer-lag correlation.
 
-    Sesquilinear with the conjugate on g; real-valued on the diagonal
-    g = f.  Raises AliasingError when either support leaks outside the
-    central half-window.
+    Sesquilinear with the conjugate on g; real-valued on the diagonal.
+    With g omitted or ``g is f`` only the lags m >= 0 are built and the
+    values are float64; otherwise they are complex128.  Raises
+    AliasingError when either support leaks outside the central half-window.
     """
-    return TFMatrix(_lag_step(_correlation(f, g), f.dx), wigner_grid(f), PHASE_SPACE)
+    half = g is None or g is f
+    r = _correlation(f, g, half)
+    return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
     """Cohen-class distribution: W(f, g) filtered by the kernel's ambiguity
     multiplier Phi(z1, z2), applied to the correlation's time FFT at
     (lag 2 m dx, time frequency).  Kernels whose multiplier is exactly one
-    (delta, tau = 1/2) give ``wigner`` itself."""
+    (delta, tau = 1/2) give ``wigner`` itself.  Born-Jordan's sinc(z1 z2)
+    comes from a sine table on either route; on the diagonal (g omitted or
+    ``g is f``) it runs on the lags m >= 0 only and returns float64 values,
+    every other case complex128."""
     if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
         return wigner(f, g)
-    r = _correlation(f, g)
+    half = kernel.kind == BORN_JORDAN and (g is None or g is f)
+    r = _correlation(f, g, half)
     np.fft.fft(r, axis=0, out=r)
-    _filtered(r, kernel, *_lag_axes(f), axes=(0,))
-    return TFMatrix(_lag_step(r, f.dx), wigner_grid(f), PHASE_SPACE)
+    lags = np.arange(r.shape[1]) - (0 if half else f.n // 2)
+    _filtered(r, _lag_multiplier(kernel, f, lags), axes=(0,))
+    return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
 
 
 def ambiguity_filter(matrix: TFMatrix, kernel: CohenKernel, conj: bool = False) -> TFMatrix:
@@ -153,11 +209,15 @@ def ambiguity_filter(matrix: TFMatrix, kernel: CohenKernel, conj: bool = False) 
     meeting Phi at (-nu_w, nu_x), the Nyquist bin mirrored back onto the
     centred dual axis where ``symplectic_fourier`` samples it."""
     g = matrix.grid
-    z1 = np.fft.fftfreq(g.nw, g.dw)[-np.arange(g.nw) % g.nw]
+    z1 = np.fft.fftfreq(g.nw, g.dw)[-np.arange(g.nw) % g.nw][None, :]
+    z2 = np.fft.fftfreq(g.nx, g.dx)[:, None]
+
+    def mult(rows):
+        phi = ambiguity_multiplier(kernel, z1, z2[rows])
+        return np.conj(phi) if conj else phi
+
     spec = np.fft.fft2(matrix.values)
-    return matrix.with_values(
-        _filtered(spec, kernel, z1, np.fft.fftfreq(g.nx, g.dx), axes=(0, 1), conj=conj)
-    )
+    return matrix.with_values(_filtered(spec, mult, axes=(0, 1)))
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:

@@ -182,10 +182,13 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True)
 class TFMatrix:
-    """Complex matrix sampled on a phase-space (or ambiguity) grid.
+    """Matrix sampled on a phase-space (or ambiguity) grid.
 
     ``values[i, j]`` sits at (x_i, w_j) in phase space, or at (z1_i, z2_j)
-    in the ambiguity domain.
+    in the ambiguity domain.  Values are read-only float64 when given real
+    input (the diagonal Wigner and Born-Jordan distributions) and
+    complex128 otherwise; code that writes into a copy of them must not
+    assume a complex dtype.
     """
 
     values: np.ndarray
@@ -193,7 +196,8 @@ class TFMatrix:
     domain_tag: str = PHASE_SPACE
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.nx, self.grid.nw):
@@ -218,7 +222,7 @@ class TFMatrix:
         )
 
     def with_values(self, values) -> "TFMatrix":
-        return replace(self, values=np.asarray(values, dtype=complex))
+        return replace(self, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +275,7 @@ def symplectic_fourier(m: TFMatrix) -> TFMatrix:
         raise GridError("symplectic_fourier requires a square grid")
     if not g.is_centered():
         raise GridError("symplectic_fourier requires centered axes")
-    v = m.values * g.cell_measure
+    v = m.values * complex(g.cell_measure)  # a complex copy of real values too
     v[1::2] *= -1.0  # pre-phases (-1)^(i + j)
     v[:, 1::2] *= -1.0
     np.fft.fft(v, axis=0, out=v)  # x axis -> z2 (forward kernel)

@@ -4,8 +4,9 @@ Signals travel as CSV with header ``index,re,im`` plus a JSON sidecar
 (`<name>.json` next to the CSV) holding ``{"x0": ..., "dx": ...}``.
 Matrices are a single binary file: a 4-byte little-endian header length,
 a UTF-8 JSON header describing the grid, then row-major interleaved
-(re, im) float64 little-endian values.  All writes are atomic
-(temporary file + rename).
+(re, im) float64 little-endian values, which is the memory layout of a
+little-endian complex128 array: a real matrix is written with imag 0 and
+reads back complex.  All writes are atomic (temporary file + rename).
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ MATRIX_VERSION = 1
 MATRIX_DTYPE = "float64-le-interleaved"
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the byte buffers ``chunks`` in order to a temporary file, then
+    rename it onto ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
     umask = os.umask(0)
     os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
             # mkstemp creates 0600; give the file the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
@@ -62,11 +66,11 @@ def write_signal(sig: SampledSignal, path, meta: dict | None = None) -> None:
     buf = ["index,re,im"]
     for i, v in enumerate(sig.samples):
         buf.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    _atomic_write(path, ("\n".join(buf) + "\n").encode())
+    _atomic_write(path, [("\n".join(buf) + "\n").encode()])
     side = {"x0": sig.x0, "dx": sig.dx}
     if meta:
         side.update(meta)
-    _atomic_write(sidecar_path(path), json.dumps(side, indent=2).encode())
+    _atomic_write(sidecar_path(path), [json.dumps(side, indent=2).encode()])
 
 
 def read_signal(path) -> SampledSignal:
@@ -92,6 +96,8 @@ def read_signal(path) -> SampledSignal:
 
 
 def write_matrix(m: TFMatrix, path) -> None:
+    """Header, then the values as contiguous little-endian complex128: no
+    copy when they already are (real values are cast, imag exactly 0)."""
     g = m.grid
     header = {
         "format": MATRIX_FORMAT,
@@ -106,31 +112,35 @@ def write_matrix(m: TFMatrix, path) -> None:
         "dtype": MATRIX_DTYPE,
     }
     head = json.dumps(header).encode()
-    inter = np.empty((g.nx, g.nw, 2), dtype="<f8")
-    inter[..., 0] = m.values.real
-    inter[..., 1] = m.values.imag
-    _atomic_write(Path(path), struct.pack("<I", len(head)) + head + inter.tobytes())
+    values = np.ascontiguousarray(m.values, "<c16")
+    _atomic_write(Path(path), [struct.pack("<I", len(head)), head, values])
 
 
 def read_matrix(path) -> TFMatrix:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise ValueError(f"{path}: truncated matrix file")
-    (hlen,) = struct.unpack("<I", raw[:4])
-    header = json.loads(raw[4 : 4 + hlen].decode())
-    if not isinstance(header, dict) or header.get("format") != MATRIX_FORMAT:
-        raise ValueError(f"{path}: not a {MATRIX_FORMAT} file")
-    for key, want in (("version", MATRIX_VERSION), ("dtype", MATRIX_DTYPE)):
-        got = header.get(key)
-        if type(got) is not type(want) or got != want:  # true == 1 in Python
-            raise ValueError(f"{path}: {key} {got!r} is not {want!r}")
-    nx, x0, dx, nw, w0, dw, domain = _fields(header, {
-        "nx": int, "x0": float, "dx": float, "nw": int, "w0": float, "dw": float,
-        "domain": str,
-    }, path)
-    data = np.frombuffer(raw[4 + hlen :], dtype="<f8")
-    if data.size != nx * nw * 2:
-        raise ValueError(f"{path}: payload size mismatch")
-    data = data.reshape(nx, nw, 2)
+    """Check the header, then read the payload straight into one aligned
+    complex128 array; its size must match the file's length exactly."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(4)
+        if len(prefix) < 4:
+            raise ValueError(f"{path}: truncated matrix file")
+        (hlen,) = struct.unpack("<I", prefix)
+        header = json.loads(fh.read(hlen).decode())
+        if not isinstance(header, dict) or header.get("format") != MATRIX_FORMAT:
+            raise ValueError(f"{path}: not a {MATRIX_FORMAT} file")
+        for key, want in (("version", MATRIX_VERSION), ("dtype", MATRIX_DTYPE)):
+            got = header.get(key)
+            if type(got) is not type(want) or got != want:  # true == 1 in Python
+                raise ValueError(f"{path}: {key} {got!r} is not {want!r}")
+        nx, x0, dx, nw, w0, dw, domain = _fields(header, {
+            "nx": int, "x0": float, "dx": float, "nw": int, "w0": float, "dw": float,
+            "domain": str,
+        }, path)
+        for key in ("nx", "nw"):  # int() above would pass 2.9 as 2 and true as 1
+            if type(header[key]) is not int or header[key] < 1:
+                raise ValueError(f"{path}: {key} {header[key]!r} is not an integer >= 1")
+        if size - 4 - hlen != nx * nw * 16:
+            raise ValueError(f"{path}: payload size mismatch")
+        values = np.fromfile(fh, "<c16", count=nx * nw).reshape(nx, nw)
     grid = PhaseSpaceGrid(nx=nx, x0=x0, dx=dx, nw=nw, w0=w0, dw=dw)
-    return TFMatrix(data[..., 0] + 1j * data[..., 1], grid, domain)
+    return TFMatrix(values, grid, domain)

@@ -32,7 +32,7 @@ from .errors import DomainError, ResolutionError
 from .gaussians import _check_dilation, gaussian
 from .grid import SampledSignal, TFMatrix, signal_from_function
 from .distributions import wigner_grid
-from .distributions import _correlation, _filtered, _lag_axes, _lag_step
+from .distributions import _correlation, _filtered, _lag_multiplier, _lag_step
 from .kernels import CohenKernel, delta_kernel
 
 POSITION_INNER = "position_inner"
@@ -323,10 +323,10 @@ def ghost_energy_report(
         raise DomainError("reference distribution carries no region energy")
     rows = [GhostReport(delta_kernel().label, e_wigner, 1.0)]
     np.fft.fft(amb, axis=0, out=amb)
-    axes = _lag_axes(f)
+    lags = np.arange(-(f.n // 2), f.n // 2)
     for k in kernels:
         if k.kind == "delta":
             continue
-        e = region_energy(_filtered(amb.copy(), k, *axes, axes=(0,)))
+        e = region_energy(_filtered(amb.copy(), _lag_multiplier(k, f, lags), axes=(0,)))
         rows.append(GhostReport(k.label, e, e / e_wigner))
     return rows

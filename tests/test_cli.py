@@ -308,3 +308,11 @@ def test_matrix_header_unsupported_value_exits_3(tmp_path, capsys, key, value):
     assert _op_on_edited_symbol(tmp_path, lambda header: header.update({key: value})) == 3
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edits", [{"nx": 2.9}, {"nw": True}, {"nx": -4, "nw": -4}])
+def test_matrix_header_non_integer_count_exits_3(tmp_path, capsys, edits):
+    assert _op_on_edited_symbol(tmp_path, lambda header: header.update(edits)) == 3
+    err = capsys.readouterr().err
+    assert "is not an integer >= 1" in err and next(iter(edits)) in err
+    assert "Traceback" not in err

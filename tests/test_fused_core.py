@@ -4,6 +4,8 @@
 on the lag correlation with in-place 1-D FFT passes (or one 2-D FFT pass
 each way on symbols); the oracles rebuild every result from a direct DFT
 sum or from symplectic transform -> multiplier -> symplectic transform.
+The diagonal half-lag route of ``wigner`` and ``born_jordan`` is checked
+against the full route, which a copy of the signal selects.
 """
 
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 
 from tfq import (
     PHASE_SPACE,
+    SampledSignal,
     StftSpec,
     Symbol,
     TFMatrix,
@@ -36,6 +39,7 @@ from tfq import (
     wigner,
     wigner_grid,
 )
+from tfq.distributions import _sinc_lattice
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
@@ -130,6 +134,57 @@ def test_ghost_report_matches_three_step(n):
         assert abs(row.ratio_vs_wigner - e / e_w) < TOL * max(1.0, e / e_w)
 
 
+def _copy(f):
+    """Same samples, another object: the full (cross) route."""
+    return f.with_samples(f.samples.copy())
+
+
+def _central_noise(n):
+    """Complex noise filling the central half-window, so every lag the
+    support guard admits is nonzero."""
+    rng = np.random.default_rng(n)
+    samples = np.zeros(n, dtype=complex)
+    samples[n // 4 : 3 * n // 4] = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
+    return SampledSignal(samples, x0=-n / 32, dx=1 / 16)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+@pytest.mark.parametrize("engine", [wigner, born_jordan], ids=["wigner", "born_jordan"])
+def test_half_route_matches_full_route(engine, n):
+    f = _central_noise(n)
+    half, full = engine(f), engine(f, _copy(f))
+    assert half.grid == full.grid
+    assert half.values.dtype == np.float64
+    assert sup_rel_error(half.values, full.values) < 1e-13
+
+
+def test_result_dtypes():
+    f = _pair(64, False)[0]
+    for real in (wigner(f), wigner(f, f), born_jordan(f), born_jordan(f, f),
+                 cohen(f, None, born_jordan_kernel()), cohen(f, f, tau_kernel(0.5))):
+        assert real.values.dtype == np.float64
+    g = _copy(f)
+    for cplx in (wigner(f, g), born_jordan(f, g), cohen(f, f, tau_kernel(0.3)),
+                 cohen(f, None, ASYMMETRIC)):
+        assert cplx.values.dtype == np.complex128
+    assert TFMatrix(np.ones((64, 64)), wigner_grid(f)).values.dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [8, 1024, 4096])
+def test_sinc_lattice_matches_np_sinc(n):
+    # every lag the engines use, -n/2..n/2, against sinc at the products of
+    # the engines' float axes, in row blocks to keep memory small
+    dx = 1 / 16
+    m = np.arange(-(n // 2), n // 2 + 1)
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    z1, z2 = 2.0 * dx * m, np.fft.fftfreq(n, dx)
+    for lo in range(0, n, 256):
+        rows = slice(lo, lo + 256)
+        got = _sinc_lattice(k[rows], m, n)
+        assert got.dtype == np.float64
+        assert np.abs(got - np.sinc(np.multiply.outer(z2[rows], z1))).max() <= 5e-13
+
+
 def _stft_call(f):
     spec = StftSpec(window=canonical_window(f))
     return lambda: stft(f, spec)
@@ -143,15 +198,18 @@ def _matrix_call(rule):
 
 
 @pytest.mark.parametrize("setup, bound", [
-    pytest.param(lambda f: lambda: wigner(f), 2, id="wigner-2"),
-    pytest.param(lambda f: lambda: born_jordan(f), 3, id="born_jordan-3"),
+    pytest.param(lambda f: lambda g=_copy(f): wigner(f, g), 2, id="wigner-2"),
+    pytest.param(lambda f: lambda g=_copy(f): born_jordan(f, g), 3, id="born_jordan-3"),
+    pytest.param(lambda f: lambda: wigner(f), 1.1, id="wigner_diag-1.1"),
+    pytest.param(lambda f: lambda: born_jordan(f), 1.1, id="born_jordan_diag-1.1"),
     pytest.param(_stft_call, 1.5, id="stft-1.5"),
     pytest.param(_matrix_call(weyl_rule()), 2.5, id="operator_matrix-2.5"),
     pytest.param(_matrix_call(born_jordan_rule()), 2.5, id="operator_matrix_bj-2.5"),
 ])
 def test_traced_peak_memory(setup, bound):
     # peak of one call in units of 16 n^2 bytes, beyond its arguments (the
-    # window and the symbol are built before the measurement)
+    # window, the symbol and the signal copy that selects the full route
+    # are built before the measurement)
     n = 1024
     f = synth(SignalRecipe(kind="gabor_atom", n=n, dx=1 / 16))
     call = setup(f)
