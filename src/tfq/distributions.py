@@ -10,8 +10,9 @@ support condition and reject violations.
 
 The lag phase is (-1)^m and, with centred lag storage, the output phase
 (-1)^k, whatever x0 is: ``wigner`` is one correlation and one in-place lag
-FFT.  ``cohen`` filters the correlation's time FFT (the ambiguity function)
-in place first; ``ambiguity_filter`` filters a phase-space matrix.
+FFT.  ``cohen`` first runs ``_lag_filter`` on the correlation (time FFT,
+multiplier, inverse time FFT), as operator matrices do on their lag kernel;
+``ambiguity_filter`` filters a symbol.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
@@ -149,19 +150,6 @@ def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
 _BLOCKS = 16  # row blocks per multiplier pass: no n x n multiplier at once
 
 
-def _lag_multiplier(kernel: CohenKernel, f: SampledSignal, lags: np.ndarray):
-    """Row-block multiplier of the correlation's time FFT: row k at time
-    frequency z2 = k / (n dx) in FFT order, column j at lag z1 = 2 lags[j] dx.
-    Born-Jordan comes from ``_sinc_lattice`` (z1 z2 = 2 k m / n exactly);
-    other kernels from ``ambiguity_multiplier``."""
-    n = f.n
-    if kernel.kind == BORN_JORDAN:
-        k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-        return lambda rows: _sinc_lattice(k[rows], lags, n)
-    z1, z2 = 2.0 * f.dx * lags, np.fft.fftfreq(n, f.dx)
-    return lambda rows: ambiguity_multiplier(kernel, z1[None, :], z2[rows, None])
-
-
 def _filtered(spec: np.ndarray, mult, axes) -> np.ndarray:
     """In place: multiply the spectrum's rows by ``mult(rows)``, one block of
     rows at a time; invert the FFT over ``axes``."""
@@ -170,6 +158,26 @@ def _filtered(spec: np.ndarray, mult, axes) -> np.ndarray:
         rows = slice(k, k + step)
         spec[rows] *= mult(rows)
     return np.fft.ifftn(spec, axes=axes, out=spec)
+
+
+def _lag_filter(r: np.ndarray, kernel: CohenKernel, dx: float, lags: np.ndarray,
+                conj: bool = False) -> np.ndarray:
+    """In place on rows at time i and integer lag ``lags[j]``: time FFT, the
+    multiplier at (2 lags dx, k / (n dx)) (conjugated with ``conj``), inverse
+    time FFT.  Born-Jordan reads ``_sinc_lattice``, other kernels
+    ``ambiguity_multiplier``."""
+    n = len(r)
+    np.fft.fft(r, axis=0, out=r)
+    if kernel.kind == BORN_JORDAN:  # real, so its own conjugate
+        k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+        return _filtered(r, lambda rows: _sinc_lattice(k[rows], lags, n), axes=(0,))
+    z1, z2 = 2.0 * dx * lags[None, :], np.fft.fftfreq(n, dx)[:, None]
+
+    def phi(rows):
+        out = ambiguity_multiplier(kernel, z1, z2[rows])
+        return np.conj(out) if conj else out
+
+    return _filtered(r, phi, axes=(0,))
 
 
 def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
@@ -197,27 +205,21 @@ def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFM
         return wigner(f, g)
     half = kernel.kind == BORN_JORDAN and (g is None or g is f)
     r = _correlation(f, g, half)
-    np.fft.fft(r, axis=0, out=r)
-    lags = np.arange(r.shape[1]) - (0 if half else f.n // 2)
-    _filtered(r, _lag_multiplier(kernel, f, lags), axes=(0,))
+    _lag_filter(r, kernel, f.dx, np.arange(r.shape[1]) - (0 if half else f.n // 2))
     return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
 
 
-def ambiguity_filter(matrix: TFMatrix, kernel: CohenKernel, conj: bool = False) -> TFMatrix:
-    """Fs[Phi . Fs matrix] on its own grid (Phi conjugated with ``conj``): a
-    circular filter, so one 2-D FFT each way with the spectrum at (nu_x, nu_w)
-    meeting Phi at (-nu_w, nu_x), the Nyquist bin mirrored back onto the
-    centred dual axis where ``symplectic_fourier`` samples it."""
+def ambiguity_filter(matrix: TFMatrix, kernel: CohenKernel) -> TFMatrix:
+    """Fs[Phi . Fs matrix] on its own grid: a circular filter, so one 2-D FFT
+    each way with the spectrum at (nu_x, nu_w) meeting Phi at (-nu_w, nu_x),
+    the Nyquist bin mirrored back onto the centred dual axis where
+    ``symplectic_fourier`` samples it."""
     g = matrix.grid
     z1 = np.fft.fftfreq(g.nw, g.dw)[-np.arange(g.nw) % g.nw][None, :]
     z2 = np.fft.fftfreq(g.nx, g.dx)[:, None]
-
-    def mult(rows):
-        phi = ambiguity_multiplier(kernel, z1, z2[rows])
-        return np.conj(phi) if conj else phi
-
     spec = np.fft.fft2(matrix.values)
-    return matrix.with_values(_filtered(spec, mult, axes=(0, 1)))
+    _filtered(spec, lambda rows: ambiguity_multiplier(kernel, z1, z2[rows]), (0, 1))
+    return matrix.with_values(spec)
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:

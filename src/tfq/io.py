@@ -79,15 +79,13 @@ def read_signal(path) -> SampledSignal:
         x0, dx = _fields(json.load(fh), {"x0": float, "dx": float}, sidecar_path(path))
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-            "index",
-            "re",
-            "im",
-        ]:
+        reader = csv.reader(fh)
+        if [f.strip() for f in next(reader, [])] != ["index", "re", "im"]:
             raise ValueError(f"{path}: expected header index,re,im")
-        for row in reader:
-            rows.append((int(row["index"]), float(row["re"]), float(row["im"])))
+        for row in filter(None, reader):  # blank lines carry no fields
+            if len(row) != 3:
+                raise ValueError(f"{path}: row of index {row[0]!r} has {len(row)} fields, not 3")
+            rows.append((int(row[0]), float(row[1]), float(row[2])))
     rows.sort()
     if [i for i, _, _ in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: indices must be 0..n-1, each exactly once")

@@ -31,8 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DomainError, ResolutionError
 from .gaussians import _check_dilation, gaussian
 from .grid import SampledSignal, TFMatrix, signal_from_function
-from .distributions import wigner_grid
-from .distributions import _correlation, _filtered, _lag_multiplier, _lag_step
+from .distributions import cohen, wigner_grid
 from .kernels import CohenKernel, delta_kernel
 
 POSITION_INNER = "position_inner"
@@ -305,28 +304,20 @@ def ghost_energy_report(
     """|M(f, f)|^2 integrated over the declared region, per kernel,
     with the ratio against the plain (delta-kernel) distribution.
 
-    One lag correlation and its time FFT serve every kernel, and the lag
-    step runs only on the rows inside the region."""
+    Each energy is that of ``cohen(f, f, kernel)`` (half-lag route for delta
+    and Born-Jordan), so one n x n array is live at a time."""
     g = wigner_grid(f)
     in_x = (g.x_axis >= region.x_lo) & (g.x_axis <= region.x_hi)
     in_w = (g.w_axis >= region.w_lo) & (g.w_axis <= region.w_hi)
     if not in_x.any() or not in_w.any():
         raise DomainError("interference region lies outside the grid")
 
-    def region_energy(r: np.ndarray) -> float:
-        block = _lag_step(r[in_x], f.dx)[:, in_w]
+    def region_energy(k: CohenKernel) -> float:
+        block = cohen(f, f, k).values[np.ix_(in_x, in_w)]
         return float(np.sum(np.abs(block) ** 2) * g.cell_measure)
 
-    amb = _correlation(f, f)
-    e_wigner = region_energy(amb)
-    if e_wigner == 0.0:
+    ks = [delta_kernel()] + [k for k in kernels if k.kind != "delta"]
+    energies = [region_energy(k) for k in ks]
+    if energies[0] == 0.0:
         raise DomainError("reference distribution carries no region energy")
-    rows = [GhostReport(delta_kernel().label, e_wigner, 1.0)]
-    np.fft.fft(amb, axis=0, out=amb)
-    lags = np.arange(-(f.n // 2), f.n // 2)
-    for k in kernels:
-        if k.kind == "delta":
-            continue
-        e = region_energy(_filtered(amb.copy(), _lag_multiplier(k, f, lags), axes=(0,)))
-        rows.append(GhostReport(k.label, e, e / e_wigner))
-    return rows
+    return [GhostReport(k.label, e, e / energies[0]) for k, e in zip(ks, energies)]

@@ -12,10 +12,11 @@ uses the equivalent integral-kernel form
     (Op(a) f)[j] = 2 dx sum_i K[i, j - i] f[2 i - j],
     K[i, m] = dw sum_l a_eff[i, l] e^{+2 pi i (2 m dx) w_l},
 
-with a_eff the rule's effective Weyl symbol: a filtered by the conjugate
-ambiguity multiplier through ``ambiguity_filter``, the same filter that
-``symbol_transform`` applies with sinc(z1 z2).  This is an exact
-rearrangement of the basis pairing, which the tests verify directly.
+with a_eff the rule's effective Weyl symbol, a filtered by the conjugate
+ambiguity multiplier.  ``operator_matrix`` filters K of a along time, at
+(2 m dx, time frequency): the lag filter that ``cohen`` runs on a
+correlation.  This is an exact rearrangement of the basis pairing, which
+the tests verify directly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import GridError
 from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
-from .distributions import ambiguity_filter, cohen, wigner_grid
+from .distributions import _lag_filter, ambiguity_filter, cohen, wigner_grid
 from .kernels import DELTA, CohenKernel, born_jordan_kernel, delta_kernel, tau_kernel
 
 # a quantization rule is its Cohen kernel
@@ -86,6 +87,9 @@ def weak_apply(a: Symbol, rule: CohenKernel, f: SampledSignal, g: SampledSignal)
 def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u].
 
+    The Weyl lag kernel of a is one inverse FFT over w and a sign; any
+    other rule filters it along time with the conjugate multiplier.
+
     Raises:
         GridError: unless dw = 1/(2 n dx), the one spacing on which the
             lag-kernel form below holds (``symbol_grid_for``'s grid).
@@ -94,17 +98,13 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     n = g.nx
     if not np.isclose(2.0 * n * g.dx * g.dw, 1.0, rtol=_ORIGIN_RTOL, atol=0):
         raise GridError("operator symbols need the grid spacing dw = 1/(2 n dx)")
-    vals, buf = a.matrix.values, None
-    if rule.kind != DELTA:  # the effective Weyl symbol, a fresh array of ours
-        vals = buf = ambiguity_filter(a.matrix, rule, conj=True).values
-        buf.setflags(write=True)
-    # lag kernel K[i, m] = dw sum_l vals[i, l] e^{+2 pi i (2 m dx) w_l},
-    # kept in DFT residue order (m and m mod n agree for |m| < n/2)
-    m_resid = np.fft.fftfreq(n, 1.0 / n)
-    lag = np.fft.ifft(vals, axis=1, out=buf)
-    lag *= n * g.dw
-    lag *= np.exp(2j * np.pi * (2.0 * m_resid * g.dx) * g.w0)[None, :]
-    lag *= 2.0 * g.dx
+    # 2 dx K[i, m] in DFT residue order (m and m mod n agree for |m| < n/2);
+    # w0 = -1/(4 dx) on the centred grid, so e^{2 pi i (2 m dx) w0} = (-1)^m
+    lag = np.fft.ifft(a.matrix.values, axis=1)
+    lag *= 2.0 * n * g.dx * g.dw
+    lag[:, 1::2] *= -1.0
+    if rule.kind != DELTA:
+        _lag_filter(lag, rule, g.dx, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), conj=True)
     # lag m fills M[i + m, i - m], i in [|m|, n - |m|): one stride-(n + 1)
     # anti-diagonal of the flat matrix; entries with j + u odd stay zero
     out = np.zeros((n, n), dtype=complex)

@@ -216,6 +216,27 @@ def test_duplicate_or_missing_index_exits_3(tmp_path, capsys):
     assert str(sig) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"], ids=["short", "long"])
+def test_row_field_count_exits_3(tmp_path, capsys, row):
+    sig, sym = tmp_path / "f.csv", tmp_path / "a.mat"
+    run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25", "--output", str(sig)])
+    run(["transform", "--method", "wigner", "--input", str(sig), "--output", str(sym)])
+    lines = sig.read_text().splitlines()
+    lines[1] = row  # the data row of index 0
+    sig.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="index '0'"):
+        tfq_io.read_signal(sig)
+    capsys.readouterr()
+    for argv in (["norm", "--input", str(sig), "--p", "2", "--q", "2"],
+                 ["transform", "--method", "wigner", "--input", str(sig),
+                  "--output", str(tmp_path / "w.mat")],
+                 ["op", "--rule", "bj", "--symbol", str(sym), "--input", str(sig),
+                  "--output", str(tmp_path / "o.csv")]):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert str(sig) in err and "Traceback" not in err
+
+
 def test_written_files_get_umask_mode(tmp_path):
     old = os.umask(0o022)
     try:

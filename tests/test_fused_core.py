@@ -1,9 +1,12 @@
 """The fused ambiguity-domain engine against the three-step route.
 
-``wigner``, ``cohen``, ``ambiguity_filter`` and ``ghost_energy_report`` run
-on the lag correlation with in-place 1-D FFT passes (or one 2-D FFT pass
-each way on symbols); the oracles rebuild every result from a direct DFT
-sum or from symplectic transform -> multiplier -> symplectic transform.
+``wigner`` and ``cohen`` run on the lag correlation with in-place 1-D FFT
+passes; ``cohen``'s lag filter (time FFT, multiplier, inverse) also serves
+``ghost_energy_report``, which reads region energies of ``cohen``, and
+``operator_matrix``, which runs it with the conjugate multiplier on the
+Weyl lag kernel of a symbol.  ``ambiguity_filter`` (one 2-D FFT pass each
+way) serves the symbol map.  The oracles rebuild every result from a direct
+DFT sum or from symplectic transform -> multiplier -> symplectic transform.
 The diagonal half-lag route of ``wigner`` and ``born_jordan`` is checked
 against the full route, which a copy of the signal selects.
 """
@@ -39,7 +42,7 @@ from tfq import (
     wigner,
     wigner_grid,
 )
-from tfq.distributions import _sinc_lattice
+from tfq.distributions import _lag_filter, _sinc_lattice
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
@@ -92,10 +95,17 @@ def test_ambiguity_filter_matches_three_step(name, conj, n):
     rng = np.random.default_rng(n)
     grid = symbol_grid_for(_pair(n, False)[0])
     m = TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid, PHASE_SPACE)
-    got = ambiguity_filter(m, KERNELS[name], conj=conj)
     ref = symbol_filter_three_step(m, KERNELS[name], conj=conj)
-    assert got.grid == m.grid
-    assert sup_rel_error(got.values, ref.values) < TOL
+    if not conj:
+        got = ambiguity_filter(m, KERNELS[name])
+        assert got.grid == m.grid
+        assert sup_rel_error(got.values, ref.values) < TOL
+        return
+    # the conjugate filter runs on the lag kernel (the inverse FFT over w),
+    # along time at lag m = fftfreq(n, 1/n), the Nyquist lag column included
+    lags = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    got = _lag_filter(np.fft.ifft(m.values, axis=1), KERNELS[name], grid.dx, lags, conj=True)
+    assert sup_rel_error(got, np.fft.ifft(ref.values, axis=1)) < TOL
 
 
 @pytest.mark.parametrize("n", [64, 512])
@@ -105,7 +115,7 @@ def test_symbol_side_matches_three_step(n):
     a = Symbol(TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid))
     ref = symbol_filter_three_step(a.matrix, born_jordan_kernel())
     assert sup_rel_error(symbol_transform(a).matrix.values, ref.values) < TOL
-    for rule in (born_jordan_rule(), tau_rule(0.3)):
+    for rule in (born_jordan_rule(), tau_rule(0.3), ASYMMETRIC):
         # Op(a) under a rule is the Weyl operator of the effective symbol
         eff = Symbol(symbol_filter_three_step(a.matrix, rule, conj=True))
         ref = operator_matrix(eff, weyl_rule())
@@ -190,6 +200,14 @@ def _stft_call(f):
     return lambda: stft(f, spec)
 
 
+def _ghost_call(f):
+    # every kernel's distribution in turn, no per-kernel copy of the
+    # correlation: one n x n array plus the region's few cells at a time
+    f = synth(SignalRecipe(kind="two_atoms", n=f.n, dx=16 / f.n, params={"dt": 1.0}))
+    region = interference_region(0.0, 0.0, wigner_grid(f))
+    return lambda: ghost_energy_report(f, [born_jordan_kernel(), tau_kernel(0.3)], region)
+
+
 def _matrix_call(rule):
     def setup(f):
         a = Symbol.sample(lambda x, w: np.exp(-np.pi * (x**2 + w**2)), symbol_grid_for(f))
@@ -205,6 +223,7 @@ def _matrix_call(rule):
     pytest.param(_stft_call, 1.5, id="stft-1.5"),
     pytest.param(_matrix_call(weyl_rule()), 2.5, id="operator_matrix-2.5"),
     pytest.param(_matrix_call(born_jordan_rule()), 2.5, id="operator_matrix_bj-2.5"),
+    pytest.param(_ghost_call, 1.5, id="ghost_energy_report-1.5"),
 ])
 def test_traced_peak_memory(setup, bound):
     # peak of one call in units of 16 n^2 bytes, beyond its arguments (the
