@@ -180,6 +180,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    if args.method == "stft" and args.cross:
+        raise TfqError("--cross needs a Cohen-class method (wigner, tau or bj), not stft")
     f = tfq_io.read_signal(args.input)
     g = tfq_io.read_signal(args.cross) if args.cross else None
     if args.method == "stft":

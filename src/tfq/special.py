@@ -1,18 +1,18 @@
 """Scalar special functions: sinc, the cosine integral Ci, and the sine
 integral Si.
 
-Ci(t) = -int_t^inf cos(s)/s ds is evaluated on three branches:
+Ci(t) = -int_t^inf cos(s)/s ds and Si(t) = int_0^t sin(s)/s ds are evaluated
+on two branches:
 
-* ``series``      gamma + log t + sum_k (-t^2)^k / (2k (2k)!)   for t <= 4
-* ``quadrature``  16-node Gauss-Legendre on unit panels up to 64 (cached
-                  cumulative sums), plus the asymptotic tail from 64 on,
-                  for 4 < t < 32
-* ``asymptotic``  sin t * f(t) - cos t * g(t) with the divergent expansions
-                  of f and g truncated at eight terms, for t >= 32
+* ``series``  gamma + log t + sum_k (-t^2)^k / (2k (2k)!) for Ci, and
+              sum_k (-1)^k t^(2k+1) / ((2k+1) (2k+1)!) for Si, for t <= 4
+* ``f/g``     Ci = f sin t - g cos t and Si = pi/2 - f cos t - g sin t,
+              for t > 4
 
-The classical handoff at 16 leaves the eight-term expansion ~2e-8 short of
-the 1e-10 target, so the quadrature branch covers the gap up to 32
-(validated against the brute-force oracle).  Si uses the same branches.
+f(t) = int_0^inf e^{-tu}/(1 + u^2) du and g(t) = int_0^inf u e^{-tu}/(1 + u^2)
+du, the auxiliary functions of Abramowitz & Stegun 5.2, are smooth Laplace
+integrals.  Substituting u = x/t puts them in Gauss-Laguerre form; 32 nodes
+reach ~4e-14 against mpmath over t > 4, where 24 nodes leave 5e-12.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .errors import DomainError
 EULER_GAMMA = float(np.euler_gamma)
 
 _SERIES_CUT = 4.0
-_ASYM_CUT = 32.0
-_QUAD_FAR = 64.0  # panels stop here; asymptotic tail beyond
+_BLOCK = 4096  # rows of the block-by-32 scratch array of _fg
 
 
 @lru_cache(maxsize=None)
@@ -37,6 +36,14 @@ def gauss_legendre(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+@lru_cache(maxsize=None)
+def _gauss_laguerre():
+    """The 32-node Gauss-Laguerre rule for int_0^inf e^{-x} h(x) dx: nodes x
+    and the weight vectors w and w x, built on first use."""
+    x, w = np.polynomial.laguerre.laggauss(32)
+    return x, w, w * x
 
 
 def sinc(t):
@@ -57,53 +64,6 @@ def _ci_series(t):
     return EULER_GAMMA + np.log(t) + acc
 
 
-def _fg_asymptotic(t, terms=8):
-    # f ~ (1/t)(1 - 2!/t^2 + 4!/t^4 - ...), g ~ (1/t^2)(1 - 3!/t^2 + ...)
-    t2 = t * t
-    f = np.ones_like(t)
-    g = np.ones_like(t)
-    cf = np.ones_like(t)
-    cg = np.ones_like(t)
-    sign = 1.0
-    for k in range(1, terms):
-        sign = -sign
-        cf = cf * ((2 * k - 1) * (2 * k)) / t2
-        cg = cg * ((2 * k) * (2 * k + 1)) / t2
-        f = f + sign * cf
-        g = g + sign * cg
-    return f / t, g / t2
-
-
-def _ci_asymptotic(t):
-    f, g = _fg_asymptotic(t)
-    return np.sin(t) * f - np.cos(t) * g
-
-
-def _si_asymptotic(t):
-    f, g = _fg_asymptotic(t)
-    return np.pi / 2 - f * np.cos(t) - g * np.sin(t)
-
-
-def _panel_integrals(fn, a, b):
-    x, w = gauss_legendre(16)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    s = mid[..., None] + half[..., None] * x
-    # einsum, not a BLAS @: a threaded matrix-vector product splits its sums
-    # by array size, so a value would depend on what else is in the call
-    return np.einsum("...j,j->...", fn(s) / s, w) * half
-
-
-# fixed unit-panel partition for vectorised mid-range evaluation
-_EDGES = np.arange(_SERIES_CUT, _QUAD_FAR + 0.5, 1.0)
-
-
-@lru_cache(maxsize=None)
-def _cumulative_tail(fn):
-    segs = _panel_integrals(fn, _EDGES[:-1], _EDGES[1:])
-    return np.concatenate([np.cumsum(segs[::-1])[::-1], [0.0]])
-
-
 def _si_series(t):
     out = t.copy()
     u = t.copy()
@@ -114,24 +74,37 @@ def _si_series(t):
     return out
 
 
-def _on_branches(t, arr, series, fn, asymptotic, reflect):
-    """Ci or Si on its three branches; ``reflect`` turns the tail
-    int_t^inf fn(s)/s ds into the value and back (Ci = -tail, Si = pi/2 -
-    tail).  The mid branch sums the partial panel [t, next unit edge], the
-    cached unit panels up to 64 and the asymptotic tail beyond 64."""
+def _fg(t):
+    """f(t) = (1/t) sum_k w_k / (1 + (x_k/t)^2) and g(t) = (1/t^2) sum_k
+    w_k x_k / (1 + (x_k/t)^2) on a 1-D array of t > 4, in blocks of _BLOCK
+    points.  t is divided by twice, never squared, so no finite t
+    overflows."""
+    x, w, wx = _gauss_laguerre()
+    f = np.empty_like(t)
+    g = np.empty_like(t)
+    for i in range(0, t.size, _BLOCK):
+        tb = t[i:i + _BLOCK]
+        q = x / tb[:, None]
+        q *= q
+        q += 1.0
+        np.reciprocal(q, out=q)
+        # einsum, not a BLAS @: a threaded matrix-vector product splits its
+        # sums by array size, so a value would depend on what else is in the call
+        f[i:i + _BLOCK] = np.einsum("ij,j->i", q, w) / tb
+        g[i:i + _BLOCK] = np.einsum("ij,j->i", q, wx) / tb / tb
+    return f, g
+
+
+def _on_branches(t, arr, series, far):
+    """Ci or Si from ``series`` for t <= 4 and, above, from ``far`` applied
+    to (f, g, sin t, cos t)."""
     out = np.empty_like(arr)
     lo = arr <= _SERIES_CUT
-    hi = arr >= _ASYM_CUT
-    mid = ~lo & ~hi
     if lo.any():
         out[lo] = series(arr[lo])
-    if mid.any():
-        m = arr[mid]
-        nxt = np.minimum(np.searchsorted(_EDGES, m, side="right"), len(_EDGES) - 1)
-        far = reflect(asymptotic(np.array([_QUAD_FAR]))[0])
-        out[mid] = reflect(_panel_integrals(fn, m, _EDGES[nxt]) + _cumulative_tail(fn)[nxt] + far)
-    if hi.any():
-        out[hi] = asymptotic(arr[hi])
+    if not lo.all():
+        s = arr[~lo]
+        out[~lo] = far(*_fg(s), np.sin(s), np.cos(s))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -147,7 +120,7 @@ def cosine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("cosine_integral requires t > 0")
-    return _on_branches(t, arr, _ci_series, np.cos, _ci_asymptotic, lambda v: -v)
+    return _on_branches(t, arr, _ci_series, lambda f, g, s, c: f * s - g * c)
 
 
 def sine_integral(t):
@@ -155,4 +128,4 @@ def sine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("sine_integral requires t >= 0")
-    return _on_branches(t, arr, _si_series, np.sin, _si_asymptotic, lambda v: np.pi / 2 - v)
+    return _on_branches(t, arr, _si_series, lambda f, g, s, c: np.pi / 2 - f * c - g * s)

@@ -8,9 +8,10 @@ transform back) built from public functions only.  Two more check the
 Born-Jordan kernel: its cell averages with one antiderivative evaluation
 per cell corner, and the distribution as a tau-average of tau-Wigner
 distributions, with neither the multiplier nor Ci.  Two are the library's
-former routes, kept as references: Ci evaluated on one named branch
-(``ci_evaluate``), and the kernel STFT on dyadic t-panels
-(``vg_theta_grid_dyadic``).
+former routes, kept as references: Ci evaluated on one named branch of
+the former series / panel-quadrature / asymptotic dispatch (``ci_evaluate``,
+with its own copy of the eight-term expansion), and the kernel STFT on
+dyadic t-panels (``vg_theta_grid_dyadic``).
 
 The rest were library functions that only the tests called:
 ``tau_wigner_direct`` (the tau-distribution by spectral fractional delays,
@@ -41,7 +42,9 @@ from tfq import (
 )
 from tfq.grid import _ORIGIN_RTOL
 from tfq.kernels import _vg_integrand
-from tfq.special import _ASYM_CUT, _SERIES_CUT, _ci_asymptotic, _ci_series
+from tfq.special import _SERIES_CUT, _ci_series
+
+_ASYM_CUT = 32.0  # where ci_evaluate's own dispatch turns to the expansion
 
 
 def _cos_panel_integral(t: float, m: int, order: int) -> float:
@@ -82,6 +85,25 @@ class CiEvaluation:
     method_tag: str  # "series" | "quadrature" | "asymptotic"
 
 
+def _ci_asymptotic(t):
+    """Ci(t) = sin t f(t) - cos t g(t) with the divergent expansions
+    f ~ (1/t)(1 - 2!/t^2 + 4!/t^4 - ...) and g ~ (1/t^2)(1 - 3!/t^2 + ...)
+    truncated at eight terms: off by 2e-8 at t = 16, 5e-14 at 32, 5e-18 at 64."""
+    t2 = t * t
+    f = np.ones_like(t)
+    g = np.ones_like(t)
+    cf = np.ones_like(t)
+    cg = np.ones_like(t)
+    sign = 1.0
+    for k in range(1, 8):
+        sign = -sign
+        cf = cf * ((2 * k - 1) * (2 * k)) / t2
+        cg = cg * ((2 * k) * (2 * k + 1)) / t2
+        f = f + sign * cf
+        g = g + sign * cg
+    return np.sin(t) * (f / t) - np.cos(t) * (g / t2)
+
+
 def _ci_quadrature_scalar(t: float) -> float:
     """Panel quadrature of -int_t^inf cos(s)/s ds up to a zero of sin past
     max(64, t + 8 pi); the remainder uses the eight-term expansion, whose
@@ -91,12 +113,15 @@ def _ci_quadrature_scalar(t: float) -> float:
 
 
 def ci_evaluate(t: float, method: str | None = None) -> CiEvaluation:
-    """Evaluate Ci(t) on one branch of ``cosine_integral``, explicit or
-    chosen as the library dispatches.
+    """Evaluate Ci(t) on one named branch, explicit or chosen by this
+    oracle's own cut points: the series up to 4, panel quadrature up to 32
+    and the eight-term expansion from 32 on.  The library no longer
+    dispatches this way; above 4 it takes Ci from the auxiliary functions
+    f and g.
 
     ``series`` is admissible only for t <= 4 and ``asymptotic`` only for
-    t >= 16; ``quadrature`` (a scalar panel route, not the library's cached
-    unit panels) is admissible everywhere and serves as the reference branch.
+    t >= 16; ``quadrature`` (a scalar panel route) is admissible everywhere
+    and serves as the reference branch.
     """
     t = float(t)
     if t <= 0.0:

@@ -141,6 +141,45 @@ def test_op_with_stft_grid_symbol_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_op_with_ambiguity_domain_symbol_exits_2(tmp_path, capsys):
+    # a kernel file samples the ambiguity domain, not phase space
+    sig, sym, out = tmp_path / "f.csv", tmp_path / "k.mat", tmp_path / "g.csv"
+    assert run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)]) == 0
+    assert run(["kernel", "--kind", "bj", "--n", "256", "--output", str(sym)]) == 0
+    capsys.readouterr()
+    assert run(["op", "--rule", "bj", "--symbol", str(sym), "--input", str(sig),
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "symbols live in phase space" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stft_with_cross_exits_2(tmp_path, capsys):
+    # the STFT has no cross form; --cross must not be dropped silently
+    sig, out = tmp_path / "f.csv", tmp_path / "s.mat"
+    assert run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)]) == 0
+    capsys.readouterr()
+    assert run(["transform", "--method", "stft", "--input", str(sig), "--cross", str(sig),
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--cross" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_accuracy_error_exits_4(tmp_path, monkeypatch, capsys):
+    from tfq import cli
+    from tfq.errors import AccuracyError
+
+    def short_of_tolerance(args):
+        raise AccuracyError("node budget exhausted", achieved=1e-3)
+
+    monkeypatch.setitem(cli._HANDLERS, "oracle", short_of_tolerance)
+    assert run(["oracle", "--which", "wigner", "--lam", "1"]) == 4
+    captured = capsys.readouterr()
+    assert "achieved 1.000e-03" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_subcommand(capsys, schema):
     assert run(["oracle", "--which", "fourier-symplectic", "--lam", "3",
                 "--json"]) == 0

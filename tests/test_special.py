@@ -64,8 +64,8 @@ def test_ci_branches_agree_on_overlaps():
         s = ci_evaluate(float(t), method="series").value
         q = ci_evaluate(float(t), method="quadrature").value
         assert abs(s - q) < 1e-10
-    # asymptotic vs quadrature on [16, 200]: the eight-term expansion only
-    # clears 1e-9 from ~24 on, which is why the automatic switch sits at 32
+    # asymptotic vs quadrature on [32, 200]: the eight-term expansion only
+    # clears 1e-9 from ~24 on, which is why ci_evaluate's own switch sits at 32
     for t in np.geomspace(32.0, 200.0, 15):
         a = ci_evaluate(float(t), method="asymptotic").value
         q = ci_evaluate(float(t), method="quadrature").value
@@ -96,10 +96,11 @@ def test_si_against_quadrature():
 
 @pytest.mark.parametrize("fn", [cosine_integral, sine_integral], ids=["ci", "si"])
 def test_mid_branch_value_does_not_depend_on_the_call(fn):
-    # the 4 < t < 32 panel sums must not follow the BLAS thread split, which
-    # changes with the array size: each point alone equals itself in bulk
+    # the Gauss-Laguerre node sums behind every t > 4 must not follow the
+    # BLAS thread split or the block split, both of which change with the
+    # array size: each point alone equals itself in bulk
     rng = np.random.default_rng(7)
-    bulk = rng.uniform(4.0, 32.0, size=200_000)
+    bulk = np.exp(rng.uniform(np.log(4.0), np.log(1.0e4), size=200_000))
     picked = rng.choice(len(bulk), size=400, replace=False)
     in_bulk = fn(bulk)[picked]
     alone = np.array([fn(float(bulk[i])) for i in picked])
@@ -110,15 +111,18 @@ def _branch_handoff_points():
     eps = np.array([1e-12, 1e-9, 1e-6])
     edges = [4.0 * (1 + s * eps) for s in (-1, 1)] + [32.0 * (1 + s * eps) for s in (-1, 1)]
     near_far = 64.0 + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6, 0.5, -0.5])
-    return np.concatenate([np.geomspace(1e-8, 1e4, 400), *edges, near_far, [4.0, 32.0]])
+    # t * t overflows past 1.3e154; the library must never form it
+    huge = [1e100, 1e200, 1.7e308]
+    return np.concatenate([np.geomspace(1e-8, 1e4, 400), *edges, near_far, [4.0, 32.0], huge])
 
 
 @pytest.mark.parametrize("fn, ref_fn", [(cosine_integral, mpmath.ci), (sine_integral, mpmath.si)],
                          ids=["ci", "si"])
 def test_ci_si_against_mpmath_across_branch_handoffs(fn, ref_fn):
-    # |err| / max(1, |ref|) over 1e-8..1e4 and around the series/quadrature
-    # handoff at 4, the quadrature/asymptotic handoff at 32 and the panel
-    # end at 64; measured worst: Ci 1.2e-13, Si 3.1e-13
+    # |err| / max(1, |ref|) over 1e-8..1e4, around the series/(f, g)
+    # handoff at 4, at 32 and 64 (the former asymptotic handoff and panel
+    # end, kept as plain points) and at 1e100..1.7e308; measured worst:
+    # Ci 3.8e-14, Si 3.4e-14
     t = _branch_handoff_points()
     got = fn(t)
     with mpmath.workdps(30):
