@@ -10,18 +10,23 @@ support condition and reject violations.
 
 The lag phase is (-1)^m and, with centred lag storage, the output phase
 (-1)^k, whatever x0 is: ``wigner`` is one correlation and one in-place lag
-FFT.  ``cohen`` first runs ``_lag_filter`` on the correlation (time FFT,
-multiplier, inverse time FFT), as operator matrices do on their lag kernel;
-``ambiguity_filter`` filters a symbol.
+FFT.  A product f[i + m] conj(g[i - m]) pairs two samples 2|m| apart, and
+the central half [n/4, 3n/4) holds no two samples n/2 or more apart, so
+every lag |m| >= n/4 pairs a sample below the support floor with another.
+``cohen`` fills only the band |m| <= n/4, zeroes the other lags and runs
+``_lag_filter`` (time FFT, multiplier, inverse time FFT) on the band
+alone, as operator matrices do on their whole lag kernel; unfiltered, the
+cross ``wigner`` keeps every lag, since its lag FFT covers whole rows
+anyway.  ``ambiguity_filter`` filters a symbol.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
-symmetry (it is real and even), so ``wigner`` and ``born_jordan`` build
-only the n/2 + 1 lags m >= 0 and finish with one real inverse FFT per row:
-half the lag work and a float64 result.  On the engines' lattice the
-product z1 z2 is exactly 2 k m / n for integer time frequency k and lag m,
-so the Born-Jordan multiplier sinc(z1 z2) is read from a sine table
-instead of evaluated from rounded products.
+symmetry (it is real and even), so ``wigner`` and ``born_jordan`` store
+only the n/2 + 1 lags m >= 0, fill the n/4 + 1 lags of the band and finish
+with one real inverse FFT per row: half the lag work and a float64 result.
+On the engines' lattice the product z1 z2 is exactly 2 k m / n for integer
+time frequency k and lag m, so the Born-Jordan multiplier sinc(z1 z2) is
+read from a sine table instead of evaluated from rounded products.
 """
 
 from __future__ import annotations
@@ -91,27 +96,44 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=-n * dw / 2.0, dw=dw)
 
 
-def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False) -> np.ndarray:
+def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False,
+                 all_lags: bool = False):
     """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2, or with
-    ``half`` at column m for the lags m = 0..n/2 only; the lag sign
-    i^(i + m) i^-(i - m) rides on the signals, so the product of two sliding
-    windows over the zero-padded signals is the only n x n allocation.
-    Lag -n/2 (and n/2) pairs samples a half-window apart, zero under the
-    central-support guard, so the half layout loses nothing."""
+    ``half`` at column m for the lags m = 0..n/2 only: a zero-filled buffer
+    and the view of its band of lags |m| <= n/4, the only columns written
+    unless ``all_lags``.  The two samples of a product lie 2|m| apart, and
+    the central half [n/4, 3n/4) that the support guard allows holds no two
+    samples n/2 or more apart, so every lag |m| >= n/4 pairs a sample below
+    the support floor with another (the band's edge lags +-n/4 too).  The
+    lag sign i^(i + m) i^-(i - m) rides on the signals, so the written lags
+    are the product of two sliding windows over the zero-padded signals."""
     if g is None:
         g = f
     if not f.same_grid(g):
         raise GridError("quadratic distributions require a common grid")
     assert_central_support(f)
     assert_central_support(g)
-    n = f.n
-    cols, lo = (n // 2 + 1, n // 2) if half else (n, 0)
+    n, q = f.n, f.n // 4
+    if half:
+        m0, count = 0, q + 1  # the first lag written, and how many
+    else:
+        m0, count = (-(n // 2), n) if all_lags else (-q, 2 * q + 1)
     quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
     pad = np.zeros(n // 2, dtype=complex)
     fp = np.concatenate([pad, f.samples * quarter, pad])
     gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
-    rows = slice(lo, lo + n)
-    return sliding_window_view(fp, cols)[rows] * sliding_window_view(gp, cols)[rows][::-1]
+    rows = slice(n // 2 + m0, 3 * n // 2 + m0)
+    # allocated after the small arrays above (before them, it left the heap
+    # 3 MB larger over a run of born_jordan_direct calls at n = 256); fresh
+    # pages come zeroed from the system, so np.zeros clears a large buffer
+    # for free, and a fully written one needs no clearing
+    alloc = np.empty if all_lags else np.zeros
+    r = alloc((n, n // 2 + 1 if half else n), dtype=complex)
+    lo = 0 if half else m0 + n // 2  # the column of lag m0
+    band = r[:, lo : lo + count]
+    np.multiply(sliding_window_view(fp, count)[rows],
+                sliding_window_view(gp, count)[rows][::-1], out=band)
+    return r, band
 
 
 def _lag_step(r: np.ndarray, dx: float, half: bool = False) -> np.ndarray:
@@ -184,28 +206,31 @@ def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     """Cross-distribution W(f, g) by exact integer-lag correlation.
 
     Sesquilinear with the conjugate on g; real-valued on the diagonal.
-    With g omitted or ``g is f`` only the lags m >= 0 are built and the
+    With g omitted or ``g is f`` only the lags m = 0..n/4 are built and the
     values are float64; otherwise they are complex128.  Raises
     AliasingError when either support leaks outside the central half-window.
     """
     half = g is None or g is f
-    r = _correlation(f, g, half)
+    # unfiltered, the cross route writes every lag: its lag FFT covers whole
+    # rows anyway, and one product costs less than the band and a zero fill
+    r, _ = _correlation(f, g, half, all_lags=not half)
     return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
     """Cohen-class distribution: W(f, g) filtered by the kernel's ambiguity
     multiplier Phi(z1, z2), applied to the correlation's time FFT at
-    (lag 2 m dx, time frequency).  Kernels whose multiplier is exactly one
+    (lag 2 m dx, time frequency) on the band |m| <= n/4, the only lags the
+    support guard leaves nonzero.  Kernels whose multiplier is exactly one
     (delta, tau = 1/2) give ``wigner`` itself.  Born-Jordan's sinc(z1 z2)
     comes from a sine table on either route; on the diagonal (g omitted or
-    ``g is f``) it runs on the lags m >= 0 only and returns float64 values,
-    every other case complex128."""
+    ``g is f``) it runs on the lags m = 0..n/4 only and returns float64
+    values, every other case complex128."""
     if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
         return wigner(f, g)
     half = kernel.kind == BORN_JORDAN and (g is None or g is f)
-    r = _correlation(f, g, half)
-    _lag_filter(r, kernel, f.dx, np.arange(r.shape[1]) - (0 if half else f.n // 2))
+    r, band = _correlation(f, g, half)
+    _lag_filter(band, kernel, f.dx, np.arange(band.shape[1]) - (0 if half else f.n // 4))
     return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, DomainError, SingularPointError
-from .special import cosine_integral, gauss_legendre, sine_integral
+from .special import _ci_si_sin, cosine_integral, gauss_legendre
 
 DELTA = "delta"
 BORN_JORDAN = "born_jordan"
@@ -114,10 +114,8 @@ def _corner_antiderivative(x, y):
     c = 4.0 * np.pi * x * y
     out = np.zeros_like(c)
     nz = c > 0
-    cz = c[nz]
-    out[nz] = (x * y)[nz] * cosine_integral(cz) - (
-        np.sin(cz) + sine_integral(cz)
-    ) / (4.0 * np.pi)
+    ci, si, sin = _ci_si_sin(c[nz])
+    out[nz] = (x * y)[nz] * ci - (sin + si) / (4.0 * np.pi)
     return out
 
 

@@ -108,6 +108,24 @@ def _on_branches(t, arr, series, far):
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def _ci_si_sin(t):
+    """Ci(t), Si(t) and sin t on a 1-D array of t > 0 (unchecked), with one
+    ``_fg`` pass and one sin and cos above t = 4: the cell-average corners
+    of the Born-Jordan kernel need all three at the same points."""
+    ci = np.empty_like(t)
+    si = np.empty_like(t)
+    sin = np.sin(t)
+    lo = t <= _SERIES_CUT
+    ci[lo] = _ci_series(t[lo])
+    si[lo] = _si_series(t[lo])
+    hi = ~lo
+    f, g = _fg(t[hi])
+    s, c = sin[hi], np.cos(t[hi])
+    ci[hi] = f * s - g * c
+    si[hi] = np.pi / 2 - f * c - g * s
+    return ci, si, sin
+
+
 # ---------------------------------------------------------------------------
 # public surface
 

@@ -1,10 +1,12 @@
 """Brute-force oracles used by the tests.
 
 Most deliberately avoid the library's evaluation paths: plain panel
-quadrature against defining integrals only.  Three check the fused
-distribution engine: a direct DFT sum for the cross-distribution, and the
-three-step ambiguity route (symplectic transform, multiplier, symplectic
-transform back) built from public functions only.  Two more check the
+quadrature against defining integrals only.  Four check the fused
+distribution engine: a direct DFT sum for the cross-distribution, the
+same sum after a time filter of the correlation (both over every lag
+|m| < n/2, where ``cohen`` builds only |m| <= n/4), and the three-step
+ambiguity route (symplectic transform, multiplier, symplectic transform
+back) built from public functions only.  Two more check the
 Born-Jordan kernel: its cell averages with one antiderivative evaluation
 per cell corner, and the distribution as a tau-average of tau-Wigner
 distributions, with neither the multiplier nor Ci.  Two are the library's
@@ -231,17 +233,42 @@ def growth_brute2d(p: float, R: float, cell: float = 1 / 8, order: int = 8) -> f
     return float(wt @ (np.abs(np.sinc(Y1 * Y2)) ** p) @ wt)
 
 
-def wigner_direct_sum(f, g):
-    """2 dx sum_m f[i + m] conj(g[i - m]) e^{-2 pi i (2 m dx) w_k} as a dense
-    matrix product over the lags |m| < n/2 (no FFT, no folded signs)."""
-    n, dx = f.n, f.dx
+def _full_lag_correlation(f, g):
+    """The lags m = -n/2..n/2 - 1 and r[i, m] = f[i + m] conj(g[i - m]),
+    zero where an index leaves the window: every lag, none assumed zero."""
+    n = f.n
     m = np.arange(-n // 2, n // 2)
     i = np.arange(n)[:, None]
     ia, ib = i + m, i - m
     valid = (ia >= 0) & (ia < n) & (ib >= 0) & (ib < n)
-    r = np.where(valid, f.samples[ia % n] * np.conj(g.samples[ib % n]), 0.0)
+    return m, np.where(valid, f.samples[ia % n] * np.conj(g.samples[ib % n]), 0.0)
+
+
+def _dense_lag_sum(m, r, dx):
+    """2 dx sum_m r[i, m] e^{-2 pi i (2 m dx) w_k} on the engines' frequency
+    axis, as a dense matrix product (no FFT, no folded signs)."""
+    n = len(r)
     w = -1.0 / (4.0 * dx) + np.arange(n) / (2.0 * n * dx)
     return 2.0 * dx * r @ np.exp(-2j * np.pi * np.outer(2.0 * m * dx, w))
+
+
+def wigner_direct_sum(f, g):
+    """2 dx sum_m f[i + m] conj(g[i - m]) e^{-2 pi i (2 m dx) w_k} as a dense
+    matrix product over the lags |m| < n/2 (no FFT, no folded signs)."""
+    return _dense_lag_sum(*_full_lag_correlation(f, g), f.dx)
+
+
+def cohen_full_lag(f, g, kernel):
+    """The Cohen distribution from every lag |m| < n/2: the correlation of
+    ``wigner_direct_sum`` filtered along time (DFT, the public
+    ``ambiguity_multiplier`` at (2 m dx, k/(n dx)), so ``np.sinc`` for
+    Born-Jordan, inverse DFT), then the same dense lag sum."""
+    if g is None:
+        g = f
+    m, r = _full_lag_correlation(f, g)
+    mult = ambiguity_multiplier(kernel, 2.0 * f.dx * m[None, :], np.fft.fftfreq(f.n, f.dx)[:, None])
+    r = np.fft.ifft(np.fft.fft(r, axis=0) * mult, axis=0)
+    return _dense_lag_sum(m, r, f.dx)
 
 
 def symbol_filter_three_step(matrix, kernel, conj=False):

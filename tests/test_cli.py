@@ -303,20 +303,28 @@ def test_sidecar_missing_key_exits_3(tmp_path, capsys, drop):
     assert drop in err and "Traceback" not in err
 
 
-def _op_on_edited_symbol(tmp_path, edit) -> int:
-    """Exit code of ``op`` on a symbol file whose JSON header ``edit`` changed."""
+def _op_on_symbol_bytes(tmp_path, edit) -> int:
+    """Exit code of ``op`` on a symbol file whose bytes ``edit`` rewrote."""
     sig = tmp_path / "f.csv"
     mat = tmp_path / "a.mat"
     run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25", "--output", str(sig)])
     run(["transform", "--method", "wigner", "--input", str(sig), "--output", str(mat)])
-    raw = mat.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[:4])
-    header = json.loads(raw[4 : 4 + hlen])
-    edit(header)
-    head = json.dumps(header).encode()
-    mat.write_bytes(struct.pack("<I", len(head)) + head + raw[4 + hlen :])
+    mat.write_bytes(edit(mat.read_bytes()))
     return run(["op", "--rule", "weyl", "--symbol", str(mat), "--input", str(sig),
                 "--output", str(tmp_path / "out.csv")])
+
+
+def _op_on_edited_symbol(tmp_path, edit) -> int:
+    """Exit code of ``op`` on a symbol file whose JSON header ``edit`` changed."""
+
+    def rewrite(raw):
+        (hlen,) = struct.unpack("<I", raw[:4])
+        header = json.loads(raw[4 : 4 + hlen])
+        edit(header)
+        head = json.dumps(header).encode()
+        return struct.pack("<I", len(head)) + head + raw[4 + hlen :]
+
+    return _op_on_symbol_bytes(tmp_path, rewrite)
 
 
 @pytest.mark.parametrize("drop", ["domain", "nx", "nw"])
@@ -376,3 +384,21 @@ def test_matrix_header_non_integer_count_exits_3(tmp_path, capsys, edits):
     err = capsys.readouterr().err
     assert "is not an integer >= 1" in err and next(iter(edits)) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keep, needle", [
+    (3, "truncated matrix file"),  # not even the header length
+    (-16, "payload size mismatch"),  # one complex value short
+], ids=["prefix", "payload"])
+def test_truncated_matrix_exits_3(tmp_path, capsys, keep, needle):
+    assert _op_on_symbol_bytes(tmp_path, lambda raw: raw[:keep]) == 3
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_matrix_with_wrong_format_tag_exits_3(tmp_path, capsys):
+    assert _op_on_edited_symbol(tmp_path, lambda header: header.update(format="npy")) == 3
+    err = capsys.readouterr().err
+    assert "not a tfq-matrix file" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()

@@ -8,7 +8,9 @@ Weyl lag kernel of a symbol.  ``ambiguity_filter`` (one 2-D FFT pass each
 way) serves the symbol map.  The oracles rebuild every result from a direct
 DFT sum or from symplectic transform -> multiplier -> symplectic transform.
 The diagonal half-lag route of ``wigner`` and ``born_jordan`` is checked
-against the full route, which a copy of the signal selects.
+against the full route, which a copy of the signal selects.  ``cohen`` and
+the diagonal routes fill only the lags |m| <= n/4; signals with tails just
+below the support floor check that against oracles that sum every lag.
 """
 
 import tracemalloc
@@ -42,11 +44,12 @@ from tfq import (
     wigner,
     wigner_grid,
 )
+from tfq import distributions
 from tfq.distributions import _lag_filter, _sinc_lattice
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
-from oracles import cohen_three_step, symbol_filter_three_step, wigner_direct_sum
+from oracles import cohen_full_lag, cohen_three_step, symbol_filter_three_step, wigner_direct_sum
 
 TOL = 1e-12
 
@@ -168,6 +171,54 @@ def test_half_route_matches_full_route(engine, n):
     assert sup_rel_error(half.values, full.values) < 1e-13
 
 
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+@pytest.mark.parametrize("name", ["bj", "tau0.3"])
+def test_lag_filter_sees_only_the_quarter_band(monkeypatch, name, cross):
+    # a lag |m| >= n/4 pairs two samples n/2 or more apart, one of them
+    # outside the central half, so cohen filters only the band |m| <= n/4:
+    # n/2 + 1 columns on the cross route (the diagonal tau included), the
+    # n/4 + 1 lags m >= 0 on the diagonal Born-Jordan route
+    seen = []
+
+    def spy(r, kernel, dx, lags, conj=False):
+        seen.append((r.shape, lags.copy()))
+        return _lag_filter(r, kernel, dx, lags, conj)
+
+    monkeypatch.setattr(distributions, "_lag_filter", spy)
+    n = 64
+    f = _central_noise(n)
+    cohen(f, _copy(f) if cross else None, KERNELS[name])
+    ((shape, lags),) = seen
+    half = name == "bj" and not cross
+    want = np.arange(0 if half else -(n // 4), n // 4 + 1)
+    assert shape == (n, len(want))
+    assert np.array_equal(lags, want)
+
+
+def _sub_floor_tails(sig, rng):
+    """``sig`` with every outer-half sample at 0.9e-13 of its peak, random
+    phases: the most the support guard lets through."""
+    n = sig.n
+    samples = sig.samples.copy()
+    outer = np.r_[0 : n // 4, 3 * n // 4 : n]
+    samples[outer] = 0.9e-13 * np.abs(samples).max() * np.exp(2j * np.pi * rng.random(outer.size))
+    return sig.with_samples(samples)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_sub_floor_tails_stay_below_the_floor(n):
+    # cohen and the diagonal routes drop the lags |m| > n/4, whose products
+    # reach 0.9e-13 times the peak here; the oracles sum every lag |m| < n/2
+    rng = np.random.default_rng(n + 3)
+    f, g = (_sub_floor_tails(band_limited_signal(rng, n=n), rng) for _ in range(2))
+    for h in (f, g):
+        assert sup_rel_error(wigner(f, h).values, wigner_direct_sum(f, h)) <= 1e-13
+    for name in ("bj", "tau0.3"):
+        for h in (None, g):
+            ref = cohen_full_lag(f, h, KERNELS[name])
+            assert sup_rel_error(cohen(f, h, KERNELS[name]).values, ref) <= 1e-13
+
+
 def test_result_dtypes():
     f = _pair(64, False)[0]
     for real in (wigner(f), wigner(f, f), born_jordan(f), born_jordan(f, f),
@@ -220,6 +271,10 @@ def _matrix_call(rule):
     pytest.param(lambda f: lambda g=_copy(f): born_jordan(f, g), 3, id="born_jordan-3"),
     pytest.param(lambda f: lambda: wigner(f), 1.1, id="wigner_diag-1.1"),
     pytest.param(lambda f: lambda: born_jordan(f), 1.1, id="born_jordan_diag-1.1"),
+    pytest.param(lambda f: lambda g=_copy(f): born_jordan(f, g), 1.08,
+                 id="born_jordan_cross-1.08"),
+    pytest.param(lambda f: lambda g=_copy(f): cohen(f, g, tau_kernel(0.3)), 1.1,
+                 id="cohen_tau_cross-1.1"),
     pytest.param(_stft_call, 1.5, id="stft-1.5"),
     pytest.param(_matrix_call(weyl_rule()), 2.5, id="operator_matrix-2.5"),
     pytest.param(_matrix_call(born_jordan_rule()), 2.5, id="operator_matrix_bj-2.5"),

@@ -232,3 +232,38 @@ def test_phase_space_grid_rejects_non_finite(field, bad):
     spec[field] = bad
     with pytest.raises(GridError):
         PhaseSpaceGrid(**spec)
+
+
+# --- error contract: each guard named by its message ----------------------------
+
+def test_signal_rejects_two_dimensional_samples():
+    # 8 rows of 8 would pass the power-of-two length check
+    with pytest.raises(SizeError, match="one-dimensional"):
+        SampledSignal(np.zeros((8, 8)), x0=-0.5, dx=0.125)
+
+
+def test_matrix_rejects_wrong_shape_and_domain_tag():
+    grid = PhaseSpaceGrid.centered(8, 0.25, 8, 0.5)
+    with pytest.raises(GridError, match="does not match grid"):
+        TFMatrix(np.zeros((8, 4)), grid, PHASE_SPACE)
+    with pytest.raises(GridError, match="unknown domain tag"):
+        TFMatrix(np.zeros((8, 8)), grid, "frequency")
+
+
+def test_dft_rejects_non_power_of_two_length():
+    # a SampledSignal cannot hold 12 samples, so a stand-in reaches the check
+    class Twelve:
+        samples = np.ones(12, dtype=complex)
+        n, x0, dx = 12, -0.75, 0.125
+
+    with pytest.raises(SizeError, match="dft requires a power-of-two length"):
+        dft(Twelve())
+
+
+def test_inner_products_reject_mismatched_grids():
+    f = SampledSignal(np.ones(8), x0=-0.5, dx=0.125)
+    with pytest.raises(GridError, match="common grid"):
+        f.inner(SampledSignal(np.ones(8), x0=-0.5, dx=0.25))
+    a = TFMatrix(np.ones((8, 8)), PhaseSpaceGrid.centered(8, 0.25, 8, 0.5))
+    with pytest.raises(GridError, match="matching grids"):
+        a.inner(TFMatrix(np.ones((8, 8)), PhaseSpaceGrid.centered(8, 0.25, 8, 0.25)))

@@ -129,3 +129,15 @@ def test_ci_si_against_mpmath_across_branch_handoffs(fn, ref_fn):
         ref = np.array([float(ref_fn(mpmath.mpf(float(v)))) for v in t])
     err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
     assert err.max() <= 1e-12, (t[err.argmax()], err.max())
+
+
+def test_shared_ci_si_sin_pass_equals_the_public_pair():
+    # the cell-average corners take Ci, Si and sin from one pass; each value
+    # must be the public function's, bit for bit, on both branches
+    from tfq.special import _ci_si_sin
+
+    t = _branch_handoff_points()
+    ci, si, sin = _ci_si_sin(t)
+    assert np.array_equal(ci, cosine_integral(t))
+    assert np.array_equal(si, sine_integral(t))
+    assert np.array_equal(sin, np.sin(t))
