@@ -13,11 +13,10 @@ The lag phase is (-1)^m and, with centred lag storage, the output phase
 FFT.  A product f[i + m] conj(g[i - m]) pairs two samples 2|m| apart, and
 the central half [n/4, 3n/4) holds no two samples n/2 or more apart, so
 every lag |m| >= n/4 pairs a sample below the support floor with another.
-``cohen`` fills only the band |m| <= n/4, zeroes the other lags and runs
-``_lag_filter`` (time FFT, multiplier, inverse time FFT) on the band
-alone, as operator matrices do on their whole lag kernel; unfiltered, the
-cross ``wigner`` keeps every lag, since its lag FFT covers whole rows
-anyway.  ``ambiguity_filter`` filters a symbol.
+The engines fill only the band |m| <= n/4 and zero the other lags;
+``cohen`` runs ``_lag_filter`` (time FFT, multiplier, inverse time FFT) on
+the band alone, as operator matrices do on their whole lag kernel.
+``ambiguity_filter`` filters a symbol.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
@@ -96,15 +95,14 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=-n * dw / 2.0, dw=dw)
 
 
-def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False,
-                 all_lags: bool = False):
+def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False):
     """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2, or with
     ``half`` at column m for the lags m = 0..n/2 only: a zero-filled buffer
-    and the view of its band of lags |m| <= n/4, the only columns written
-    unless ``all_lags``.  The two samples of a product lie 2|m| apart, and
-    the central half [n/4, 3n/4) that the support guard allows holds no two
-    samples n/2 or more apart, so every lag |m| >= n/4 pairs a sample below
-    the support floor with another (the band's edge lags +-n/4 too).  The
+    and the view of its band of lags |m| <= n/4, the only columns written.
+    The two samples of a product lie 2|m| apart, and the central half
+    [n/4, 3n/4) that the support guard allows holds no two samples n/2 or
+    more apart, so every lag |m| >= n/4 pairs a sample below the support
+    floor with another (the band's edge lags +-n/4 too).  The
     lag sign i^(i + m) i^-(i - m) rides on the signals, so the written lags
     are the product of two sliding windows over the zero-padded signals."""
     if g is None:
@@ -114,10 +112,8 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False,
     assert_central_support(f)
     assert_central_support(g)
     n, q = f.n, f.n // 4
-    if half:
-        m0, count = 0, q + 1  # the first lag written, and how many
-    else:
-        m0, count = (-(n // 2), n) if all_lags else (-q, 2 * q + 1)
+    # the first lag written, and how many
+    m0, count = (0, q + 1) if half else (-q, 2 * q + 1)
     quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
     pad = np.zeros(n // 2, dtype=complex)
     fp = np.concatenate([pad, f.samples * quarter, pad])
@@ -126,9 +122,8 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False,
     # allocated after the small arrays above (before them, it left the heap
     # 3 MB larger over a run of born_jordan_direct calls at n = 256); fresh
     # pages come zeroed from the system, so np.zeros clears a large buffer
-    # for free, and a fully written one needs no clearing
-    alloc = np.empty if all_lags else np.zeros
-    r = alloc((n, n // 2 + 1 if half else n), dtype=complex)
+    # for free
+    r = np.zeros((n, n // 2 + 1 if half else n), dtype=complex)
     lo = 0 if half else m0 + n // 2  # the column of lag m0
     band = r[:, lo : lo + count]
     np.multiply(sliding_window_view(fp, count)[rows],
@@ -206,14 +201,12 @@ def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     """Cross-distribution W(f, g) by exact integer-lag correlation.
 
     Sesquilinear with the conjugate on g; real-valued on the diagonal.
-    With g omitted or ``g is f`` only the lags m = 0..n/4 are built and the
-    values are float64; otherwise they are complex128.  Raises
+    Only the lags |m| <= n/4 are built; with g omitted or ``g is f`` only
+    m = 0..n/4 and the values are float64, otherwise complex128.  Raises
     AliasingError when either support leaks outside the central half-window.
     """
     half = g is None or g is f
-    # unfiltered, the cross route writes every lag: its lag FFT covers whole
-    # rows anyway, and one product costs less than the band and a zero fill
-    r, _ = _correlation(f, g, half, all_lags=not half)
+    r, _ = _correlation(f, g, half)
     return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
 
 

@@ -95,6 +95,16 @@ def _fg(t):
     return f, g
 
 
+def _ci_far(f, g, s, c):
+    """Ci from the auxiliary functions and s = sin t, c = cos t."""
+    return f * s - g * c
+
+
+def _si_far(f, g, s, c):
+    """Si from the auxiliary functions and s = sin t, c = cos t."""
+    return np.pi / 2 - f * c - g * s
+
+
 def _on_branches(t, arr, series, far):
     """Ci or Si from ``series`` for t <= 4 and, above, from ``far`` applied
     to (f, g, sin t, cos t)."""
@@ -119,10 +129,9 @@ def _ci_si_sin(t):
     ci[lo] = _ci_series(t[lo])
     si[lo] = _si_series(t[lo])
     hi = ~lo
-    f, g = _fg(t[hi])
-    s, c = sin[hi], np.cos(t[hi])
-    ci[hi] = f * s - g * c
-    si[hi] = np.pi / 2 - f * c - g * s
+    fgsc = (*_fg(t[hi]), sin[hi], np.cos(t[hi]))
+    ci[hi] = _ci_far(*fgsc)
+    si[hi] = _si_far(*fgsc)
     return ci, si, sin
 
 
@@ -138,7 +147,7 @@ def cosine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("cosine_integral requires t > 0")
-    return _on_branches(t, arr, _ci_series, lambda f, g, s, c: f * s - g * c)
+    return _on_branches(t, arr, _ci_series, _ci_far)
 
 
 def sine_integral(t):
@@ -146,4 +155,4 @@ def sine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("sine_integral requires t >= 0")
-    return _on_branches(t, arr, _si_series, lambda f, g, s, c: np.pi / 2 - f * c - g * s)
+    return _on_branches(t, arr, _si_series, _si_far)

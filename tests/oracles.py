@@ -4,7 +4,8 @@ Most deliberately avoid the library's evaluation paths: plain panel
 quadrature against defining integrals only.  Four check the fused
 distribution engine: a direct DFT sum for the cross-distribution, the
 same sum after a time filter of the correlation (both over every lag
-|m| < n/2, where ``cohen`` builds only |m| <= n/4), and the three-step
+|m| < n/2, where the engines build only |m| <= n/4; ``dropped_lag_bound``
+bounds what the other lags carry), and the three-step
 ambiguity route (symplectic transform, multiplier, symplectic transform
 back) built from public functions only.  Two more check the
 Born-Jordan kernel: its cell averages with one antiderivative evaluation
@@ -269,6 +270,20 @@ def cohen_full_lag(f, g, kernel):
     mult = ambiguity_multiplier(kernel, 2.0 * f.dx * m[None, :], np.fft.fftfreq(f.n, f.dx)[:, None])
     r = np.fft.ifft(np.fft.fft(r, axis=0) * mult, axis=0)
     return _dense_lag_sum(m, r, f.dx)
+
+
+def dropped_lag_bound(f, g):
+    """(2 dx / n) sum over |m| > n/4 and k of |R[k, m]|, R the time DFT of
+    the correlation: a bound on the sup of what the lags |m| > n/4 add to
+    W(f, g) or to any Cohen distribution whose multiplier has |Phi| <= 1
+    (each filtered lag column is an inverse DFT of R Phi, so its sup is at
+    most (1/n) sum_k |R[k, m]|, and the lag sum adds the columns with unit
+    phases times 2 dx)."""
+    if g is None:
+        g = f
+    m, r = _full_lag_correlation(f, g)
+    r[:, np.abs(m) <= f.n // 4] = 0.0
+    return 2.0 * f.dx / f.n * float(np.abs(np.fft.fft(r, axis=0)).sum())
 
 
 def symbol_filter_three_step(matrix, kernel, conj=False):
