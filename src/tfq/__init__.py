@@ -31,7 +31,7 @@ from .grid import (
     signal_from_function,
     symplectic_fourier,
 )
-from .special import cosine_integral, sinc, sine_integral
+from .special import cosine_integral, sine_integral
 from .gaussians import (
     fourier_wigner_gaussian,
     gaussian,
@@ -48,7 +48,6 @@ from .kernels import (
     theta_growth_integral,
     theta_sigma_cell_averages,
     theta_sigma_d1,
-    vg_theta,
     vg_theta_grid,
 )
 from .distributions import (

@@ -59,6 +59,11 @@ def _exp_out(value: float):
     return "inf" if np.isinf(value) else value
 
 
+def _report(kind: str, **fields) -> dict:
+    """The ``--json`` report envelope: schema version and kind, then fields."""
+    return {"schema_version": "1", "report": kind, **fields}
+
+
 def _emit(report: dict, as_json: bool, lines=None) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
@@ -70,8 +75,10 @@ def _emit(report: dict, as_json: bool, lines=None) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tfq")
     sub = top.add_subparsers(dest="command", required=True)
+    leaf = argparse.ArgumentParser(add_help=False)  # shared by the report commands
+    leaf.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("synth", help="generate a test signal")
+    p = sub.add_parser("synth", help="generate a test signal", parents=[leaf])
     p.add_argument("--kind", required=True,
                    choices=KINDS)
     p.add_argument("--n", type=int, default=1024)
@@ -87,51 +94,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float)
     p.add_argument("--path")
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("transform", help="compute a distribution")
+    p = sub.add_parser("transform", help="compute a distribution", parents=[leaf])
     p.add_argument("--method", required=True, choices=["stft", "wigner", "tau", "bj"])
     p.add_argument("--tau", type=float)
     p.add_argument("--input", required=True)
     p.add_argument("--cross")
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("kernel", help="sample a kernel's ambiguity multiplier")
+    p = sub.add_parser("kernel", help="sample a kernel's ambiguity multiplier", parents=[leaf])
     p.add_argument("--kind", required=True, choices=["bj", "tau", "delta"])
     p.add_argument("--tau", type=float)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--dx", type=float, default=1.0 / 16.0)
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("norm", help="mixed norm of a signal")
+    p = sub.add_parser("norm", help="mixed norm of a signal", parents=[leaf])
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=_exponent, required=True)
     p.add_argument("--q", type=_exponent, required=True)
     p.add_argument("--amalgam", action="store_true")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("op", help="apply a quantized operator")
+    p = sub.add_parser("op", help="apply a quantized operator", parents=[leaf])
     p.add_argument("--rule", required=True, choices=["weyl", "bj", "tau"])
     p.add_argument("--tau", type=float)
     p.add_argument("--symbol", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("oracle", help="closed-form Gaussian references")
+    p = sub.add_parser("oracle", help="closed-form Gaussian references", parents=[leaf])
     p.add_argument("--which", required=True,
                    choices=["wigner", "fourier-plain", "fourier-symplectic"])
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--w", type=float, default=0.0)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("experiment", help="scaling and interference experiments")
     esub = p.add_subparsers(dest="experiment", required=True)
 
-    ps = esub.add_parser("scaling")
+    ps = esub.add_parser("scaling", parents=[leaf])
     ps.add_argument("--family", required=True,
                     choices=["gaussian_mod", "gaussian_amalgam", "bump_amalgam"])
     ps.add_argument("--p", type=_exponent, required=True)
@@ -141,10 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda-max", type=dilation, required=True)
     ps.add_argument("--points", type=_checked(int, lambda v: v >= 6, "at least 6"),
                     default=8)
-    ps.add_argument("--json", action="store_true")
     ps.add_argument("--output")
 
-    pg = esub.add_parser("ghost")
+    pg = esub.add_parser("ghost", parents=[leaf])
     pg.add_argument("--signal", default="two_atoms", choices=["two_atoms"])
     pg.add_argument("--dt", type=float, default=4.0)
     pg.add_argument("--dnu", type=float, default=0.0)
@@ -152,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--dx", type=float, default=1.0 / 16.0)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--tau", type=float, default=0.0)
-    pg.add_argument("--json", action="store_true")
     pg.add_argument("--output")
     return top
 
@@ -174,7 +173,7 @@ def _cmd_synth(args) -> int:
     recipe = SignalRecipe(kind=args.kind, n=args.n, dx=args.dx, seed=args.seed, params=params)
     sig = synth(recipe)
     tfq_io.write_signal(sig, args.output, meta={"kind": args.kind, "seed": args.seed})
-    _emit({"schema_version": "1", "report": "synth", "output": args.output},
+    _emit(_report("synth", output=args.output),
           args.json, [f"wrote {args.output} ({sig.n} samples)"])
     return 0
 
@@ -189,7 +188,7 @@ def _cmd_transform(args) -> int:
     else:
         out = cohen(f, g, _kernel(args.method, args.tau))
     tfq_io.write_matrix(out, args.output)
-    _emit({"schema_version": "1", "report": "transform", "output": args.output},
+    _emit(_report("transform", output=args.output),
           args.json, [f"wrote {args.output} ({out.grid.nx} x {out.grid.nw})"])
     return 0
 
@@ -199,7 +198,7 @@ def _cmd_kernel(args) -> int:
     grid = PhaseSpaceGrid.dft_compatible(args.n, args.dx)
     vals = ambiguity_multiplier(kernel, grid.x_axis[:, None], grid.w_axis[None, :])
     tfq_io.write_matrix(TFMatrix(vals, grid, AMBIGUITY), args.output)
-    _emit({"schema_version": "1", "report": "kernel", "output": args.output},
+    _emit(_report("kernel", output=args.output),
           args.json, [f"wrote {args.output} ({kernel.label})"])
     return 0
 
@@ -209,15 +208,14 @@ def _cmd_norm(args) -> int:
     spec = MixedNormSpec(args.p, args.q,
                          FREQUENCY_INNER if args.amalgam else POSITION_INNER)
     value = amalgam_norm(f, spec) if args.amalgam else modulation_norm(f, spec)
-    report = {
-        "schema_version": "1",
-        "report": "norm",
-        "value": value,
-        "p": _exp_out(args.p),
-        "q": _exp_out(args.q),
-        "nesting": spec.order,
-        "input": args.input,
-    }
+    report = _report(
+        "norm",
+        value=value,
+        p=_exp_out(args.p),
+        q=_exp_out(args.q),
+        nesting=spec.order,
+        input=args.input,
+    )
     _emit(report, args.json, [f"{value!r}"])
     return 0
 
@@ -227,7 +225,7 @@ def _cmd_op(args) -> int:
     f = tfq_io.read_signal(args.input)
     out = apply_operator(a, _kernel(args.rule, args.tau), f)
     tfq_io.write_signal(out, args.output)
-    _emit({"schema_version": "1", "report": "op", "output": args.output},
+    _emit(_report("op", output=args.output),
           args.json, [f"wrote {args.output}"])
     return 0
 
@@ -238,15 +236,14 @@ def _cmd_oracle(args) -> int:
     else:
         variant = "plain" if args.which == "fourier-plain" else "symplectic"
         value = complex(fourier_wigner_gaussian(args.lam, args.x, args.w, variant))
-    report = {
-        "schema_version": "1",
-        "report": "oracle",
-        "which": args.which,
-        "lam": args.lam,
-        "at": [args.x, args.w],
-        "re": value.real,
-        "im": value.imag,
-    }
+    report = _report(
+        "oracle",
+        which=args.which,
+        lam=args.lam,
+        at=[args.x, args.w],
+        re=value.real,
+        im=value.imag,
+    )
     _emit(report, args.json, [f"{value!r}"])
     return 0
 
@@ -257,19 +254,18 @@ def _cmd_experiment(args) -> int:
         lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)
         table = scaling_table(args.family, spec, lams)
         fit = fit_loglog([t[0] for t in table], [t[1] for t in table])
-        report = {
-            "schema_version": "1",
-            "report": "scaling",
-            "family": args.family,
-            "p": _exp_out(args.p),
-            "q": _exp_out(args.q),
-            "exponent": fit.exponent,
-            "stderr": fit.stderr,
-            "lambda_min": fit.lam_range[0],
-            "lambda_max": fit.lam_range[1],
-            "points": fit.points,
-            "table": [{"lambda": l, "norm": v} for l, v in table],
-        }
+        report = _report(
+            "scaling",
+            family=args.family,
+            p=_exp_out(args.p),
+            q=_exp_out(args.q),
+            exponent=fit.exponent,
+            stderr=fit.stderr,
+            lambda_min=fit.lam_range[0],
+            lambda_max=fit.lam_range[1],
+            points=fit.points,
+            table=[{"lambda": l, "norm": v} for l, v in table],
+        )
         lines = [f"exponent {fit.exponent:+.6f} +- {fit.stderr:.6f} "
                  f"({fit.points} points)"]
     else:
@@ -280,18 +276,17 @@ def _cmd_experiment(args) -> int:
         rows = ghost_energy_report(
             f, [born_jordan_kernel(), tau_kernel(args.tau)], region
         )
-        report = {
-            "schema_version": "1",
-            "report": "ghost",
-            "signal": args.signal,
-            "region": {"x_lo": region.x_lo, "x_hi": region.x_hi,
-                       "w_lo": region.w_lo, "w_hi": region.w_hi},
-            "rows": [
+        report = _report(
+            "ghost",
+            signal=args.signal,
+            region={"x_lo": region.x_lo, "x_hi": region.x_hi,
+                    "w_lo": region.w_lo, "w_hi": region.w_hi},
+            rows=[
                 {"kernel": r.kernel_label, "energy": r.energy,
                  "ratio_vs_wigner": r.ratio_vs_wigner}
                 for r in rows
             ],
-        }
+        )
         lines = [f"{r.kernel_label:12s} energy={r.energy:.6e} "
                  f"ratio={r.ratio_vs_wigner:.6f}" for r in rows]
     out_path = getattr(args, "output", None)

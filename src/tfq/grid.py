@@ -32,6 +32,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_spacing(dx: float, x0: float = 0.0) -> None:
+    if not (dx > 0 and np.isfinite(dx) and np.isfinite(x0)):
+        raise GridError("dx must be positive and finite, x0 finite")
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled complex signal on x_j = x0 + j dx."""
@@ -44,8 +49,7 @@ class SampledSignal:
         samples = np.asarray(self.samples, dtype=complex)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        if not (self.dx > 0 and np.isfinite(self.dx) and np.isfinite(self.x0)):
-            raise GridError("dx must be positive and finite, x0 finite")
+        _check_spacing(self.dx, self.x0)
         if samples.ndim != 1:
             raise SizeError("samples must be one-dimensional")
         if len(samples) < 8 or not _is_power_of_two(len(samples)):
@@ -86,6 +90,7 @@ class SampledSignal:
 
 
 def centered_signal_axis(n: int, dx: float) -> np.ndarray:
+    _check_spacing(dx)  # before inf * 0 makes a NaN axis
     return -n * dx / 2.0 + dx * np.arange(n)
 
 

@@ -222,16 +222,6 @@ def _vg_integrand(t, z1, z2, zeta1, zeta2):
     return amp * np.exp(-2j * np.pi * phase)
 
 
-def vg_theta(z1: float, z2: float, zeta1: float, zeta2: float, tol: float = 1e-6) -> complex:
-    """STFT of the sinc kernel against g(x, w) = e^{-pi(x^2 + w^2)} at one
-    point: the 1 x 1 case of ``vg_theta_grid``.
-
-    Raises:
-        AccuracyError: when the estimated error exceeds ``tol``.
-    """
-    return complex(vg_theta_grid(z1, z2, [zeta1], [zeta2], tol)[0][0, 0])
-
-
 _MAX_PANELS = 1024  # sub-panel budget of vg_theta_grid: phase rate up to 8192
 
 

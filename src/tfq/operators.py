@@ -57,12 +57,6 @@ class Symbol:
         vals = np.broadcast_to(vals, (grid.nx, grid.nw))
         return cls(TFMatrix(vals, grid, PHASE_SPACE))
 
-    @classmethod
-    def constant(cls, value: complex, grid: PhaseSpaceGrid) -> "Symbol":
-        return cls(
-            TFMatrix(np.full((grid.nx, grid.nw), value, dtype=complex), grid, PHASE_SPACE)
-        )
-
     @property
     def grid(self) -> PhaseSpaceGrid:
         return self.matrix.grid

@@ -1,5 +1,4 @@
-"""Scalar special functions: sinc, the cosine integral Ci, and the sine
-integral Si.
+"""Scalar special functions: the cosine integral Ci and the sine integral Si.
 
 Ci(t) = -int_t^inf cos(s)/s ds and Si(t) = int_0^t sin(s)/s ds are evaluated
 on two branches:
@@ -44,11 +43,6 @@ def _gauss_laguerre():
     and the weight vectors w and w x, built on first use."""
     x, w = np.polynomial.laguerre.laggauss(32)
     return x, w, w * x
-
-
-def sinc(t):
-    """sin(pi t) / (pi t) with sinc(0) = 1; accepts scalars or arrays."""
-    return np.sinc(t)
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,13 @@ _SCALING = ["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--
     (_SCALING + ["--lambda-min", "0", "--lambda-max", "4"], "--lambda-min"),
     (_SCALING + ["--lambda-min", "1", "--lambda-max", "4", "--points", "-1"], "--points"),
     (_SCALING + ["--lambda-min", "5", "--lambda-max", "5"], "distinct"),
+    # checked before the centred axis is built, where inf * 0 would warn
+    (["synth", "--kind", "gaussian", "--dx", "inf"], "dx must be positive and finite"),
+    (["experiment", "ghost", "--dx", "inf"], "dx must be positive and finite"),
 ])
 def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     out = tmp_path / "k.mat"
-    if argv[0] in ("kernel", "synth"):
+    if argv[0] in ("kernel", "synth") or argv[:2] == ["experiment", "ghost"]:
         argv = argv + ["--output", str(out)]
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -402,3 +405,37 @@ def test_matrix_with_wrong_format_tag_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not a tfq-matrix file" in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_tau_method_without_tau_exits_2(tmp_path, capsys):
+    sig, out = tmp_path / "f.csv", tmp_path / "t.mat"
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 0
+    capsys.readouterr()
+    assert run(["transform", "--method", "tau", "--input", str(sig),
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--tau is required" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["synth", "transform", "kernel", "op"])
+def test_file_reports_match_schema(tmp_path, capsys, schema, kind):
+    sig, sym = tmp_path / "f.csv", tmp_path / "w.mat"
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 0
+    assert run(["transform", "--method", "wigner", "--input", str(sig),
+                "--output", str(sym)]) == 0
+    capsys.readouterr()
+    out = tmp_path / ("out.csv" if kind in ("synth", "op") else "out.mat")
+    argv = {
+        "synth": ["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25"],
+        "transform": ["transform", "--method", "bj", "--input", str(sig)],
+        "kernel": ["kernel", "--kind", "bj", "--n", "64", "--dx", "0.25"],
+        "op": ["op", "--rule", "bj", "--symbol", str(sym), "--input", str(sig)],
+    }[kind]
+    assert run(argv + ["--output", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    schema(report)
+    assert list(report)[:2] == ["schema_version", "report"]
+    assert report["report"] == kind and report["output"] == str(out)

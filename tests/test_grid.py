@@ -267,3 +267,15 @@ def test_inner_products_reject_mismatched_grids():
     a = TFMatrix(np.ones((8, 8)), PhaseSpaceGrid.centered(8, 0.25, 8, 0.5))
     with pytest.raises(GridError, match="matching grids"):
         a.inner(TFMatrix(np.ones((8, 8)), PhaseSpaceGrid.centered(8, 0.25, 8, 0.25)))
+
+
+def test_sft_rejects_uncentred_grid():
+    grid = PhaseSpaceGrid(nx=8, x0=0.0, dx=0.25, nw=8, w0=-2.0, dw=0.5)
+    with pytest.raises(GridError, match="centered axes"):
+        symplectic_fourier(TFMatrix(np.ones((8, 8)), grid))
+
+
+def test_signal_from_function_rejects_infinite_dx():
+    # checked before the centred axis is built, where inf * 0 would warn
+    with pytest.raises(GridError, match="dx must be positive and finite"):
+        signal_from_function(lambda x: np.exp(-np.pi * x**2), 64, np.inf)

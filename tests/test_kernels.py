@@ -19,7 +19,6 @@ from tfq import (
     theta_growth_integral,
     theta_sigma_cell_averages,
     theta_sigma_d1,
-    vg_theta,
     vg_theta_grid,
 )
 from tfq import kernels as kernels_module
@@ -275,6 +274,11 @@ VG_POINTS = [
     (-2.0, 3.0, 1.0, -0.7),
     (0.0, 0.0, 2.8, 2.8),
 ]
+
+
+def vg_theta(z1, z2, zeta1, zeta2, tol=1e-6):
+    """vg_theta_grid at the single point (zeta1, zeta2)."""
+    return complex(vg_theta_grid(z1, z2, [zeta1], [zeta2], tol)[0][0, 0])
 
 
 def test_vg_theta_against_direct_definition():

@@ -40,7 +40,7 @@ def test_weak_apply_identity_symbol(rng):
     f = band_limited_signal(rng, n=128)
     g = band_limited_signal(rng, n=128)
     grid = symbol_grid_for(f)
-    one = Symbol.constant(1.0, grid)
+    one = Symbol.sample(lambda x, w: 1.0, grid)
     for rule in (weyl_rule(), born_jordan_rule(), tau_rule(0.3)):
         got = weak_apply(one, rule, f, g)
         want = f.inner(g)
@@ -88,7 +88,7 @@ def test_apply_matches_literal_basis_pairing(rng):
 
 def test_apply_identity_symbol(rng):
     f = band_limited_signal(rng, n=128)
-    one = Symbol.constant(1.0, symbol_grid_for(f))
+    one = Symbol.sample(lambda x, w: 1.0, symbol_grid_for(f))
     for rule in (weyl_rule(), born_jordan_rule()):
         out = apply(one, rule, f)
         err = np.abs(out.samples - f.samples).max()
@@ -136,7 +136,7 @@ def test_bj_equals_weyl_of_filtered_symbol(rng):
 
 def test_symbol_transform_constant_fixed_point(rng):
     grid = symbol_grid_for(band_limited_signal(rng, n=64))
-    one = Symbol.constant(1.0, grid)
+    one = Symbol.sample(lambda x, w: 1.0, grid)
     out = symbol_transform(one)
     assert np.abs(out.matrix.values - 1.0).max() < 1e-12
 
@@ -201,17 +201,24 @@ def test_intertwining_with_fourier(rng):
 def test_grid_mismatch_rejected(rng):
     f = band_limited_signal(rng, n=128)
     g = band_limited_signal(rng, n=128, dx=1 / 8)
-    a = Symbol.constant(1.0, symbol_grid_for(f))
+    a = Symbol.sample(lambda x, w: 1.0, symbol_grid_for(f))
     with pytest.raises(GridError):
         weak_apply(a, weyl_rule(), g, g)
     with pytest.raises(GridError):
         apply(a, weyl_rule(), g)
 
 
+def test_symbol_rejects_non_square_or_uncentred_grid():
+    for grid in (PhaseSpaceGrid.centered(8, 0.25, 16, 0.25),
+                 PhaseSpaceGrid(nx=8, x0=0.0, dx=0.25, nw=8, w0=-1.0, dw=0.25)):
+        with pytest.raises(GridError, match="square and centered"):
+            Symbol.sample(lambda x, w: 1.0, grid)
+
+
 def test_symbol_grid_must_match_whole(rng):
     f = band_limited_signal(rng, n=128)
     # the STFT's grid: same n and dx, but dw = 1/(n dx)
-    a = Symbol.constant(1.0, PhaseSpaceGrid.dft_compatible(f.n, f.dx))
+    a = Symbol.sample(lambda x, w: 1.0, PhaseSpaceGrid.dft_compatible(f.n, f.dx))
     for rule in (weyl_rule(), born_jordan_rule(), tau_rule(0.3)):
         with pytest.raises(GridError):
             operator_matrix(a, rule)

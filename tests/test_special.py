@@ -2,7 +2,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from tfq import DomainError, cosine_integral, sinc, sine_integral
+from tfq import (
+    DomainError,
+    ambiguity_multiplier,
+    born_jordan_kernel,
+    cosine_integral,
+    sine_integral,
+)
 from tfq.special import EULER_GAMMA
 
 from oracles import ci_brute, ci_evaluate
@@ -16,6 +22,11 @@ CI_ORACLE = {
     100.0: -0.005148825141610875,
     1000.0: 0.0008263155120914122,
 }
+
+
+def sinc(t):
+    """sin(pi t) / (pi t), as the Born-Jordan multiplier at z1 = 1."""
+    return ambiguity_multiplier(born_jordan_kernel(), 1.0, t)
 
 
 def test_sinc_values():
