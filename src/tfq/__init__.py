@@ -42,7 +42,6 @@ from .kernels import (
     CohenKernel,
     ambiguity_multiplier,
     born_jordan_kernel,
-    custom_kernel,
     delta_kernel,
     tau_kernel,
     theta_growth_integral,
@@ -78,7 +77,6 @@ from .norms import (
     ScalingFit,
     amalgam_norm,
     canonical_window,
-    conjugate_exponent,
     fit_loglog,
     ghost_energy_report,
     interference_region,

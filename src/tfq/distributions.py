@@ -12,17 +12,25 @@ The lag phase is (-1)^m and, with centred lag storage, the output phase
 (-1)^k, whatever x0 is: ``wigner`` is one correlation and one in-place lag
 FFT.  A product f[i + m] conj(g[i - m]) pairs two samples 2|m| apart, and
 the central half [n/4, 3n/4) holds no two samples n/2 or more apart, so
-every lag |m| >= n/4 pairs a sample below the support floor with another.
-The engines fill only the band |m| <= n/4 and zero the other lags;
-``cohen`` runs ``_lag_filter`` (time FFT, multiplier, inverse time FFT) on
-the band alone, as operator matrices do on their whole lag kernel.
-``ambiguity_filter`` filters a symbol.
+every lag |m| >= n/4 pairs a sample below the support floor with another;
+on a row i outside [n/4, 3n/4), i + m and i - m are never both central.
+The engines write only the central rows x the band |m| <= n/4 of a
+zero-filled buffer.  ``wigner`` runs its lag FFT on the central rows alone
+and leaves the outer rows exactly 0; ``cohen`` runs ``_lag_filter`` (time
+FFT, multiplier, inverse time FFT) on the band's n rows, since the filter
+spreads rows, then the lag FFT on all n rows, as operator matrices do on
+their whole lag kernel.  Summed over every entry instead, W(f, g), or a
+Cohen distribution whose multiplier has |Phi| <= 1, would differ by at
+most B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the
+correlation restricted to the entries not written.  ``ambiguity_filter``
+filters a symbol.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
 symmetry (it is real and even), so ``wigner`` and ``born_jordan`` store
 only the n/2 + 1 lags m >= 0, fill the n/4 + 1 lags of the band and finish
-with one real inverse FFT per row: half the lag work and a float64 result.
+with one real inverse FFT per row (``wigner`` per central row): half the
+lag work and a float64 result.
 On the engines' lattice the product z1 z2 is exactly 2 k m / n for integer
 time frequency k and lag m, so the Born-Jordan multiplier sinc(z1 z2) is
 read from a sine table instead of evaluated from rounded products.
@@ -95,16 +103,22 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=-n * dw / 2.0, dw=dw)
 
 
+def _central(n: int) -> slice:
+    """The rows [n/4, 3n/4) of the central half-window."""
+    return slice(n // 4, 3 * n // 4)
+
+
 def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False):
     """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2, or with
-    ``half`` at column m for the lags m = 0..n/2 only: a zero-filled buffer
-    and the view of its band of lags |m| <= n/4, the only columns written.
-    The two samples of a product lie 2|m| apart, and the central half
-    [n/4, 3n/4) that the support guard allows holds no two samples n/2 or
-    more apart, so every lag |m| >= n/4 pairs a sample below the support
-    floor with another (the band's edge lags +-n/4 too).  The
-    lag sign i^(i + m) i^-(i - m) rides on the signals, so the written lags
-    are the product of two sliding windows over the zero-padded signals."""
+    ``half`` at column m for the lags m = 0..n/2 only: a zero-filled n-row
+    buffer and the n-row view of its band of lags |m| <= n/4, written only
+    on the central rows [n/4, 3n/4).  The two samples of a product lie
+    2|m| apart, and the central half that the support guard allows holds no
+    two samples n/2 or more apart, so every lag |m| >= n/4 pairs a sample
+    below the support floor with another (the band's edge lags +-n/4 too);
+    on an outer row, i + m and i - m are never both central.  The lag sign
+    i^(i + m) i^-(i - m) rides on the signals, so the written entries are
+    the product of two sliding windows over the zero-padded signals."""
     if g is None:
         g = f
     if not f.same_grid(g):
@@ -118,34 +132,39 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False):
     pad = np.zeros(n // 2, dtype=complex)
     fp = np.concatenate([pad, f.samples * quarter, pad])
     gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
-    rows = slice(n // 2 + m0, 3 * n // 2 + m0)
+    rows = slice(n // 2 + m0, 3 * n // 2 + m0)  # window of row i: i + m0 + n/2
+    central = _central(n)
     # allocated after the small arrays above (before them, it left the heap
     # 3 MB larger over a run of born_jordan_direct calls at n = 256); fresh
     # pages come zeroed from the system, so np.zeros clears a large buffer
-    # for free
+    # for free, and the outer rows, never written, take no memory
     r = np.zeros((n, n // 2 + 1 if half else n), dtype=complex)
     lo = 0 if half else m0 + n // 2  # the column of lag m0
     band = r[:, lo : lo + count]
-    np.multiply(sliding_window_view(fp, count)[rows],
-                sliding_window_view(gp, count)[rows][::-1], out=band)
+    np.multiply(sliding_window_view(fp, count)[rows][central],
+                sliding_window_view(gp, count)[rows][::-1][central], out=band[central])
     return r, band
 
 
-def _lag_step(r: np.ndarray, dx: float, half: bool = False) -> np.ndarray:
-    """Lag FFT of ``_correlation`` rows, times 2 dx: in place with the sign
-    (-1)^k on all n lags; with ``half``, on the n/2 + 1 lags m >= 0 of a
-    Hermitian correlation, a real inverse FFT of the conjugate into a new
+def _lag_step(r: np.ndarray, dx: float, half: bool = False,
+              rows: slice = slice(None)) -> np.ndarray:
+    """Lag FFT of the ``rows`` of ``_correlation``'s buffer, times 2 dx, the
+    other rows left as they are: in place with the sign (-1)^k on all n
+    lags; with ``half``, on the n/2 + 1 lags m >= 0 of a Hermitian
+    correlation, a real inverse FFT of the conjugate into a new zero-filled
     float64 array (sum_m r[m] e^{-2 pi i m k / n} is real there, so it
     equals its conjugate, n times the inverse real FFT of conj(r))."""
+    part = r[rows]
     if not half:
-        np.fft.fft(r, axis=1, out=r)
-        r[:, 0::2] *= 2.0 * dx
-        r[:, 1::2] *= -2.0 * dx
+        np.fft.fft(part, axis=1, out=part)
+        part[:, 0::2] *= 2.0 * dx
+        part[:, 1::2] *= -2.0 * dx
         return r
     n = 2 * (r.shape[1] - 1)
-    np.conj(r, out=r)
-    out = np.fft.irfft(r, n, axis=1, norm="forward", out=np.empty((len(r), n)))
-    out *= 2.0 * dx
+    np.conj(part, out=part)
+    out = np.zeros((len(r), n))
+    np.fft.irfft(part, n, axis=1, norm="forward", out=out[rows])
+    out[rows] *= 2.0 * dx
     return out
 
 
@@ -201,24 +220,27 @@ def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     """Cross-distribution W(f, g) by exact integer-lag correlation.
 
     Sesquilinear with the conjugate on g; real-valued on the diagonal.
-    Only the lags |m| <= n/4 are built; with g omitted or ``g is f`` only
-    m = 0..n/4 and the values are float64, otherwise complex128.  Raises
-    AliasingError when either support leaks outside the central half-window.
+    Only the lags |m| <= n/4 of the central rows [n/4, 3n/4) are built and
+    lag-transformed, and the outer rows are exactly 0; with g omitted or
+    ``g is f`` only m = 0..n/4 and the values are float64, otherwise
+    complex128.  Raises AliasingError when either support leaks outside the
+    central half-window.
     """
     half = g is None or g is f
     r, _ = _correlation(f, g, half)
-    return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
+    return TFMatrix(_lag_step(r, f.dx, half, _central(f.n)), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
     """Cohen-class distribution: W(f, g) filtered by the kernel's ambiguity
     multiplier Phi(z1, z2), applied to the correlation's time FFT at
-    (lag 2 m dx, time frequency) on the band |m| <= n/4, the only lags the
-    support guard leaves nonzero.  Kernels whose multiplier is exactly one
-    (delta, tau = 1/2) give ``wigner`` itself.  Born-Jordan's sinc(z1 z2)
-    comes from a sine table on either route; on the diagonal (g omitted or
-    ``g is f``) it runs on the lags m = 0..n/4 only and returns float64
-    values, every other case complex128."""
+    (lag 2 m dx, time frequency) on the band |m| <= n/4, filled on the
+    central rows only: the entries the support guard leaves nonzero.
+    Kernels whose multiplier is exactly one (delta, tau = 1/2) give
+    ``wigner`` itself.  Born-Jordan's sinc(z1 z2) comes from a sine table
+    on either route; on the diagonal (g omitted or ``g is f``) it runs on
+    the lags m = 0..n/4 only and returns float64 values, every other case
+    complex128."""
     if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
         return wigner(f, g)
     half = kernel.kind == BORN_JORDAN and (g is None or g is f)

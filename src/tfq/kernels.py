@@ -67,10 +67,6 @@ def tau_kernel(tau: float) -> CohenKernel:
     return CohenKernel(TAU, tau=float(tau))
 
 
-def custom_kernel(fn: Callable) -> CohenKernel:
-    return CohenKernel(CUSTOM, multiplier_fn=fn)
-
-
 def ambiguity_multiplier(kernel: CohenKernel, z1, z2):
     """Evaluate the kernel's ambiguity-domain multiplier at (z1, z2).
 

@@ -38,17 +38,6 @@ POSITION_INNER = "position_inner"
 FREQUENCY_INNER = "frequency_inner"
 
 
-def conjugate_exponent(p: float) -> float:
-    """p' with 1/p + 1/p' = 1; the pair (1, inf) maps to each other."""
-    if p == 1.0:
-        return np.inf
-    if np.isinf(p):
-        return 1.0
-    if p < 1.0:
-        raise DomainError("exponents must lie in [1, inf]")
-    return p / (p - 1.0)
-
-
 @dataclass(frozen=True)
 class MixedNormSpec:
     p: float

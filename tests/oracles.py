@@ -4,11 +4,11 @@ Most deliberately avoid the library's evaluation paths: plain panel
 quadrature against defining integrals only.  Four check the fused
 distribution engine: a direct DFT sum for the cross-distribution, the
 same sum after a time filter of the correlation (both over every lag
-|m| < n/2, where the engines build only |m| <= n/4; ``dropped_lag_bound``
-bounds what the other lags carry), and the three-step
-ambiguity route (symplectic transform, multiplier, symplectic transform
-back) built from public functions only.  Two more check the
-Born-Jordan kernel: its cell averages with one antiderivative evaluation
+|m| < n/2 of every row, where the engines build only |m| <= n/4 on the
+central rows; ``dropped_lag_bound`` bounds what the other entries carry),
+and the three-step ambiguity route (symplectic transform, multiplier,
+symplectic transform back) built from public functions only.  Two more
+check the Born-Jordan kernel: its cell averages with one antiderivative evaluation
 per cell corner, and the distribution as a tau-average of tau-Wigner
 distributions, with neither the multiplier nor Ci.  Two are the library's
 former routes, kept as references: Ci evaluated on one named branch of
@@ -20,9 +20,10 @@ The rest were library functions that only the tests called:
 ``tau_wigner_direct`` (the tau-distribution by spectral fractional delays,
 with its own lag FFT, the oracle for ``cohen`` with a tau kernel),
 ``circular_convolve`` (the grid convolution behind the convolution
-identity of the symplectic transform), and ``compose_j`` with
+identity of the symplectic transform), ``compose_j`` with
 ``is_j_closed`` (a matrix composed with the rotation J on a grid whose two
-axes coincide).
+axes coincide), ``conjugate_exponent`` (the Hoelder pair p') and
+``custom_kernel`` (a Cohen kernel from any multiplier callable).
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ import numpy as np
 
 from tfq import (
     PHASE_SPACE,
+    CohenKernel,
     DomainError,
     GridError,
     TFMatrix,
@@ -44,7 +46,7 @@ from tfq import (
     wigner_grid,
 )
 from tfq.grid import _ORIGIN_RTOL
-from tfq.kernels import _vg_integrand
+from tfq.kernels import CUSTOM, _vg_integrand
 from tfq.special import _SERIES_CUT, _ci_series
 
 _ASYM_CUT = 32.0  # where ci_evaluate's own dispatch turns to the expansion
@@ -273,17 +275,20 @@ def cohen_full_lag(f, g, kernel):
 
 
 def dropped_lag_bound(f, g):
-    """(2 dx / n) sum over |m| > n/4 and k of |R[k, m]|, R the time DFT of
-    the correlation: a bound on the sup of what the lags |m| > n/4 add to
-    W(f, g) or to any Cohen distribution whose multiplier has |Phi| <= 1
-    (each filtered lag column is an inverse DFT of R Phi, so its sup is at
-    most (1/n) sum_k |R[k, m]|, and the lag sum adds the columns with unit
-    phases times 2 dx)."""
+    """(2 dx / n) sum over m and k of |R[k, m]|, R the time DFT of the
+    correlation on the entries (i, m) the engines do not write, every one
+    outside the central rows n/4 <= i < 3n/4 x the band |m| <= n/4: a bound
+    on the sup of what those entries add to W(f, g) or to any Cohen
+    distribution whose multiplier has |Phi| <= 1 (each filtered lag column
+    is an inverse DFT of R Phi, so its sup is at most (1/n) sum_k |R[k, m]|,
+    and the lag sum adds the columns with unit phases times 2 dx)."""
     if g is None:
         g = f
+    n = f.n
     m, r = _full_lag_correlation(f, g)
-    r[:, np.abs(m) <= f.n // 4] = 0.0
-    return 2.0 * f.dx / f.n * float(np.abs(np.fft.fft(r, axis=0)).sum())
+    i = np.arange(n)[:, None]
+    r[(n // 4 <= i) & (i < 3 * n // 4) & (np.abs(m) <= n // 4)] = 0.0
+    return 2.0 * f.dx / n * float(np.abs(np.fft.fft(r, axis=0)).sum())
 
 
 def symbol_filter_three_step(matrix, kernel, conj=False):
@@ -404,3 +409,19 @@ def compose_j(m):
     neg = (-np.arange(n)) % n  # index of -x_i on the centered axis
     out = m.values[:, neg].T  # out[i, j] = values[j, index(-x_i)]
     return TFMatrix(out, m.grid, m.domain_tag)
+
+
+def conjugate_exponent(p: float) -> float:
+    """p' with 1/p + 1/p' = 1; the pair (1, inf) maps to each other."""
+    if p == 1.0:
+        return np.inf
+    if np.isinf(p):
+        return 1.0
+    if p < 1.0:
+        raise DomainError("exponents must lie in [1, inf]")
+    return p / (p - 1.0)
+
+
+def custom_kernel(fn) -> CohenKernel:
+    """A Cohen kernel whose multiplier is the callable (z1, z2) -> complex."""
+    return CohenKernel(CUSTOM, multiplier_fn=fn)

@@ -303,6 +303,34 @@ def test_sidecar_missing_key_exits_3(tmp_path, capsys, drop):
     assert drop in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", [None, "index,im,re"], ids=["missing", "swapped"])
+def test_csv_without_its_header_exits_3(tmp_path, capsys, header):
+    # without the header the first data row would be read as one; with the
+    # columns swapped every sample would be read conjugated and times i
+    sig, out = tmp_path / "f.csv", tmp_path / "w.mat"
+    run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25", "--output", str(sig)])
+    lines = sig.read_text().splitlines()
+    lines[:1] = [] if header is None else [header]
+    sig.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["transform", "--method", "wigner", "--input", str(sig),
+                "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "expected header index,re,im" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", None], ids=["str", "null"])
+def test_sidecar_value_of_wrong_type_exits_3(tmp_path, capsys, value):
+    sig = tmp_path / "f.csv"
+    run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)])
+    side = tfq_io.sidecar_path(sig)
+    side.write_text(json.dumps({**json.loads(side.read_text()), "dx": value}))
+    assert run(["norm", "--input", str(sig), "--p", "2", "--q", "2"]) == 3
+    err = capsys.readouterr().err
+    assert f"{side}: bad header value" in err and "Traceback" not in err
+
+
 def _op_on_symbol_bytes(tmp_path, edit) -> int:
     """Exit code of ``op`` on a symbol file whose bytes ``edit`` rewrote."""
     sig = tmp_path / "f.csv"
@@ -370,6 +398,14 @@ def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     captured = capsys.readouterr()
     assert needle in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("dx", "abc"), ("w0", None)])
+def test_matrix_header_value_of_wrong_type_exits_3(tmp_path, capsys, key, value):
+    assert _op_on_edited_symbol(tmp_path, lambda header: header.update({key: value})) == 3
+    err = capsys.readouterr().err
+    assert "bad header value" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -9,9 +9,10 @@ way) serves the symbol map.  The oracles rebuild every result from a direct
 DFT sum or from symplectic transform -> multiplier -> symplectic transform.
 The diagonal half-lag route of ``wigner`` and ``born_jordan`` is checked
 against the full route, which a copy of the signal selects.  ``cohen`` and
-the engines fill only the lags |m| <= n/4; signals with tails just below
-the support floor check that against oracles that sum every lag, within a
-provable bound on what the other lags carry.
+the engines fill only the lags |m| <= n/4 of the central rows [n/4, 3n/4),
+and ``wigner`` lag-transforms only those rows; signals with tails just
+below the support floor check that against oracles that sum every entry,
+within a provable bound on what the other entries carry.
 """
 
 import tracemalloc
@@ -31,7 +32,6 @@ from tfq import (
     born_jordan_rule,
     canonical_window,
     cohen,
-    custom_kernel,
     delta_kernel,
     ghost_energy_report,
     interference_region,
@@ -46,13 +46,14 @@ from tfq import (
     wigner_grid,
 )
 from tfq import distributions
-from tfq.distributions import _lag_filter, _sinc_lattice
+from tfq.distributions import _lag_filter, _lag_step, _sinc_lattice
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
 from oracles import (
     cohen_full_lag,
     cohen_three_step,
+    custom_kernel,
     dropped_lag_bound,
     symbol_filter_three_step,
     wigner_direct_sum,
@@ -202,6 +203,30 @@ def test_lag_filter_sees_only_the_quarter_band(monkeypatch, name, cross):
     assert np.array_equal(lags, want)
 
 
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+def test_lag_step_sees_only_the_central_rows(monkeypatch, cross):
+    # on a row outside [n/4, 3n/4), i + m and i - m are never both central,
+    # so wigner writes and lag-transforms only the n/2 central rows and its
+    # outer rows are exactly 0; cohen's time filter spreads rows, so its lag
+    # FFT runs on all n
+    seen = []
+
+    def spy(r, dx, half=False, rows=slice(None)):
+        seen.append(len(r[rows]))
+        return _lag_step(r, dx, half, rows)
+
+    monkeypatch.setattr(distributions, "_lag_step", spy)
+    n = 64
+    f = synth(SignalRecipe(kind="gabor_atom", n=n, dx=1 / 4))
+    g = _copy(f) if cross else None
+    w = wigner(f, g).values
+    assert not w[: n // 4].any() and not w[3 * n // 4 :].any()
+    assert np.abs(w[n // 4 : 3 * n // 4]).max() > 0.0
+    for kernel in (born_jordan_kernel(), tau_kernel(0.3)):
+        cohen(f, g, kernel)
+    assert seen == [n // 2, n, n]
+
+
 def _sub_floor_tails(sig, rng, phases):
     """``sig`` with every outer-half sample at 0.9e-13 of its peak, the most
     the support guard lets through: with random phases, or all with phase
@@ -217,13 +242,13 @@ def _sub_floor_tails(sig, rng, phases):
 @pytest.mark.parametrize("phases", ["random", "equal"])
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_sub_floor_tails_stay_within_the_dropped_lag_bound(n, phases):
-    # wigner, cohen and the diagonal routes drop the lags |m| > n/4, each
-    # product of which has a factor below the support floor; the oracles sum
-    # every lag |m| < n/2.  No fixed sup-relative figure bounds what the
-    # dropped lags carry (it grows with n and with aligned phases: 1.2e-13
-    # for equal phases at n = 1024), so the engines must stay within the
-    # provable bound ``dropped_lag_bound`` (0.7e-13 to 2.3e-12 of the peak
-    # here), plus 1e-14 of the peak for rounding
+    # wigner, cohen and the diagonal routes drop the lags |m| > n/4 and the
+    # rows outside [n/4, 3n/4), each product of which has a factor below the
+    # support floor; the oracles sum every lag |m| < n/2 on every row.  No
+    # fixed sup-relative figure bounds what the dropped entries carry (it
+    # grows with n and with aligned phases), so the engines must stay within
+    # the provable bound ``dropped_lag_bound`` (0.3e-12 to 5.8e-12 of the
+    # peak here), plus 1e-14 of the peak for rounding
     rng = np.random.default_rng(n + 3)
     f, g = (_sub_floor_tails(band_limited_signal(rng, n=n), rng, phases) for _ in range(2))
 

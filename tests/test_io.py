@@ -97,3 +97,22 @@ def test_read_matrix_checks_payload_size(tmp_path, count):
     with pytest.raises(ValueError, match="payload size mismatch"):
         tfq_io.read_matrix(path)
     assert tfq_io.read_matrix(_matrix_file(tmp_path / "b.mat", 4, 4, 16)).values.shape == (4, 4)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_atomic_write_leaves_no_file_behind(tmp_path, existing):
+    # a write that fails mid-stream removes its temporary file and leaves the
+    # target as it was: absent, or with its old bytes
+    target = tmp_path / "out.mat"
+    if existing:
+        target.write_bytes(b"old")
+
+    def chunks():
+        yield b"partial"
+        raise RuntimeError("disk on fire")
+
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        tfq_io._atomic_write(target, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.mat"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old"

@@ -12,7 +12,6 @@ from tfq import (
     ambiguity_multiplier,
     born_jordan_kernel,
     cosine_integral,
-    custom_kernel,
     delta_kernel,
     symplectic_fourier,
     tau_kernel,
@@ -28,6 +27,7 @@ from conftest import sup_rel_error
 from oracles import (
     cell_averages_four_corner,
     ci_brute,
+    custom_kernel,
     growth_brute2d,
     vg_theta_brute,
     vg_theta_grid_dyadic,

@@ -13,7 +13,6 @@ from tfq import (
     amalgam_norm,
     canonical_window,
     centered_signal_axis,
-    conjugate_exponent,
     dft,
     fit_loglog,
     mixed_norm,
@@ -25,6 +24,7 @@ from tfq.grid import PHASE_SPACE
 from tfq.norms import FREQUENCY_INNER, POSITION_INNER
 
 from conftest import band_limited_signal, gaussian_signal
+from oracles import conjugate_exponent
 
 INF = float("inf")
 
