@@ -51,7 +51,6 @@ from .kernels import (
 )
 from .distributions import (
     StftSpec,
-    ambiguity_filter,
     born_jordan,
     born_jordan_direct,
     cohen,

@@ -22,8 +22,8 @@ spreads rows, then the lag FFT on all n rows, as operator matrices do on
 their whole lag kernel.  Summed over every entry instead, W(f, g), or a
 Cohen distribution whose multiplier has |Phi| <= 1, would differ by at
 most B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the
-correlation restricted to the entries not written.  ``ambiguity_filter``
-filters a symbol.
+correlation restricted to the entries not written.  The symbol map in
+``operators`` reuses ``_filtered``, the multiplier pass of ``_lag_filter``.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
@@ -247,19 +247,6 @@ def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFM
     r, band = _correlation(f, g, half)
     _lag_filter(band, kernel, f.dx, np.arange(band.shape[1]) - (0 if half else f.n // 4))
     return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
-
-
-def ambiguity_filter(matrix: TFMatrix, kernel: CohenKernel) -> TFMatrix:
-    """Fs[Phi . Fs matrix] on its own grid: a circular filter, so one 2-D FFT
-    each way with the spectrum at (nu_x, nu_w) meeting Phi at (-nu_w, nu_x),
-    the Nyquist bin mirrored back onto the centred dual axis where
-    ``symplectic_fourier`` samples it."""
-    g = matrix.grid
-    z1 = np.fft.fftfreq(g.nw, g.dw)[-np.arange(g.nw) % g.nw][None, :]
-    z2 = np.fft.fftfreq(g.nx, g.dx)[:, None]
-    spec = np.fft.fft2(matrix.values)
-    _filtered(spec, lambda rows: ambiguity_multiplier(kernel, z1, z2[rows]), (0, 1))
-    return matrix.with_values(spec)
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import PhaseSpaceGrid, SampledSignal, TFMatrix
+from .grid import AMBIGUITY, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
 
 MATRIX_FORMAT = "tfq-matrix"
 MATRIX_VERSION = 1
@@ -137,6 +137,8 @@ def read_matrix(path) -> TFMatrix:
         for key in ("nx", "nw"):  # int() above would pass 2.9 as 2 and true as 1
             if type(header[key]) is not int or header[key] < 1:
                 raise ValueError(f"{path}: {key} {header[key]!r} is not an integer >= 1")
+        if domain not in (PHASE_SPACE, AMBIGUITY):  # str() above would pass [1] as "[1]"
+            raise ValueError(f"{path}: bad header value: domain {header['domain']!r}")
         if size - 4 - hlen != nx * nw * 16:
             raise ValueError(f"{path}: payload size mismatch")
         values = np.fromfile(fh, "<c16", count=nx * nw).reshape(nx, nw)

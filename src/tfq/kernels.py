@@ -11,9 +11,9 @@ symplectic transform of the phase-space kernel evaluated at (z1, z2):
 The Born-Jordan phase-space kernel itself is -2 Ci(4 pi |z1 z2|) in
 dimension one: logarithmically singular along the axes, slowly decaying off
 them.  ``theta_sigma_cell_averages`` integrates it exactly over grid cells
-(closed-form antiderivative, evaluated once per distinct |cell corner|),
-which is what the direct convolution route needs to coexist with the
-spectral multiplier route.
+(closed-form antiderivative, a function of c = 4 pi x y at each distinct
+|cell corner|), which is what the direct convolution route needs to
+coexist with the spectral multiplier route.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, DomainError, SingularPointError
-from .special import _ci_si_sin, cosine_integral, gauss_legendre
+from .special import _ci_series, _on_branches, _si_series, cosine_integral, gauss_legendre
 
 DELTA = "delta"
 BORN_JORDAN = "born_jordan"
@@ -105,13 +105,15 @@ def theta_sigma_d1(z1, z2):
     return -2.0 * cosine_integral(4.0 * np.pi * p)
 
 
-def _corner_antiderivative(x, y):
-    # int_0^x int_0^y Ci(4 pi u v) dv du for x, y >= 0
-    c = 4.0 * np.pi * x * y
+def _corner_antiderivative(c):
+    # int_0^x int_0^y Ci(4 pi u v) dv du for x, y >= 0, a function of
+    # c = 4 pi x y alone: (c Ci(c) - sin c - Si(c)) / (4 pi), 0 at c = 0
     out = np.zeros_like(c)
     nz = c > 0
-    ci, si, sin = _ci_si_sin(c[nz])
-    out[nz] = (x * y)[nz] * ci - (sin + si) / (4.0 * np.pi)
+    out[nz] = _on_branches(
+        c, c[nz], lambda t: t * _ci_series(t) - np.sin(t) - _si_series(t),
+        lambda t, f, g, sin, cos: t * (f * sin - g * cos) - sin - (np.pi / 2 - f * cos - g * sin))
+    out /= 4.0 * np.pi
     return out
 
 
@@ -119,7 +121,7 @@ def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
     """Exact cell averages of -2 Ci(4 pi |u v|) over dx-by-dw cells.
 
     The rectangle integral of Ci(4 pi |u v|) has the closed antiderivative
-    H(x, y) = x y Ci(c) - (sin c + Si c)/(4 pi), c = 4 pi x y, extended to
+    H(x, y) = (c Ci(c) - sin c - Si(c))/(4 pi), c = 4 pi x y, extended to
     all quadrants by oddness in each corner coordinate; cells crossing the
     axes are handled by the same corner combination, with no singular
     evaluations.  H is evaluated once per distinct (|corner x|, |corner w|)
@@ -132,7 +134,7 @@ def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
     ew = np.concatenate([v - dw / 2.0, v + dw / 2.0])
     ax, ix = np.unique(np.abs(ex), return_inverse=True)
     aw, iw = np.unique(np.abs(ew), return_inverse=True)
-    h = _corner_antiderivative(ax[:, None], aw[None, :])
+    h = _corner_antiderivative(4.0 * np.pi * ax[:, None] * aw[None, :])
     sx, ix = np.sign(ex).reshape(2, -1), ix.reshape(2, -1)
     sw, iw = np.sign(ew).reshape(2, -1), iw.reshape(2, -1)
 

@@ -16,7 +16,8 @@ with a_eff the rule's effective Weyl symbol, a filtered by the conjugate
 ambiguity multiplier.  ``operator_matrix`` filters K of a along time, at
 (2 m dx, time frequency): the lag filter that ``cohen`` runs on a
 correlation.  This is an exact rearrangement of the basis pairing, which
-the tests verify directly.
+the tests verify directly.  ``symbol_transform`` filters a symbol by
+sinc(z1 z2) with one 2-D FFT each way.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 
 from .errors import GridError
 from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
-from .distributions import _lag_filter, ambiguity_filter, cohen, wigner_grid
-from .kernels import DELTA, CohenKernel, born_jordan_kernel, delta_kernel, tau_kernel
+from .distributions import _filtered, _lag_filter, cohen, wigner_grid
+from .kernels import (DELTA, CohenKernel, ambiguity_multiplier, born_jordan_kernel,
+                      delta_kernel, tau_kernel)
 
 # a quantization rule is its Cohen kernel
 weyl_rule = delta_kernel
@@ -46,8 +48,8 @@ class Symbol:
         if self.matrix.domain_tag != PHASE_SPACE:
             raise GridError("symbols live in phase space")
         g = self.matrix.grid
-        if g.nx != g.nw or not g.is_centered():
-            raise GridError("symbol grids must be square and centered")
+        if g.nx != g.nw or g.nx % 2 or not g.is_centered():
+            raise GridError("symbol grids must be square and centered, with an even count")
 
     @classmethod
     def sample(cls, fn, grid: PhaseSpaceGrid) -> "Symbol":
@@ -121,8 +123,14 @@ def apply(a: Symbol, rule: CohenKernel, f: SampledSignal) -> SampledSignal:
 def symbol_transform(a: Symbol) -> Symbol:
     """The Born-Jordan-to-Weyl symbol map: filter a by sinc(z1 z2).
 
-    Computed spectrally as Fs^{-1}[ sinc(z1 z2) . Fs a ] by
-    ``ambiguity_filter``; the output grid equals the input grid and the map
-    contracts the grid L^2 norm.
+    Computed spectrally as Fs^{-1}[ sinc(z1 z2) . Fs a ], one 2-D FFT each
+    way; sinc(z1 z2) is even in each argument, so it is read at the FFT
+    frequencies themselves.  The output grid equals the input grid and the
+    map contracts the grid L^2 norm.
     """
-    return Symbol(ambiguity_filter(a.matrix, born_jordan_kernel()))
+    g = a.grid
+    z1 = np.fft.fftfreq(g.nw, g.dw)
+    z2 = np.fft.fftfreq(g.nx, g.dx)[:, None]
+    spec = np.fft.fft2(a.matrix.values)
+    _filtered(spec, lambda rows: ambiguity_multiplier(born_jordan_kernel(), z1, z2[rows]), (0, 1))
+    return Symbol(a.matrix.with_values(spec))

@@ -1,7 +1,8 @@
 """Scalar special functions: the cosine integral Ci and the sine integral Si.
 
 Ci(t) = -int_t^inf cos(s)/s ds and Si(t) = int_0^t sin(s)/s ds are evaluated
-on two branches:
+on two branches, split by ``_on_branches``, which also serves the
+Born-Jordan cell-average corners of ``kernels``:
 
 * ``series``  gamma + log t + sum_k (-t^2)^k / (2k (2k)!) for Ci, and
               sum_k (-1)^k t^(2k+1) / ((2k+1) (2k+1)!) for Si, for t <= 4
@@ -89,44 +90,15 @@ def _fg(t):
     return f, g
 
 
-def _ci_far(f, g, s, c):
-    """Ci from the auxiliary functions and s = sin t, c = cos t."""
-    return f * s - g * c
-
-
-def _si_far(f, g, s, c):
-    """Si from the auxiliary functions and s = sin t, c = cos t."""
-    return np.pi / 2 - f * c - g * s
-
-
 def _on_branches(t, arr, series, far):
-    """Ci or Si from ``series`` for t <= 4 and, above, from ``far`` applied
-    to (f, g, sin t, cos t)."""
+    """``series`` on the points of ``arr`` at or below 4 and, above, ``far``
+    applied to (t, f, g, sin t, cos t); a float when ``t`` is a scalar."""
     out = np.empty_like(arr)
     lo = arr <= _SERIES_CUT
-    if lo.any():
-        out[lo] = series(arr[lo])
-    if not lo.all():
-        s = arr[~lo]
-        out[~lo] = far(*_fg(s), np.sin(s), np.cos(s))
+    out[lo] = series(arr[lo])
+    hi = arr[~lo]
+    out[~lo] = far(hi, *_fg(hi), np.sin(hi), np.cos(hi))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def _ci_si_sin(t):
-    """Ci(t), Si(t) and sin t on a 1-D array of t > 0 (unchecked), with one
-    ``_fg`` pass and one sin and cos above t = 4: the cell-average corners
-    of the Born-Jordan kernel need all three at the same points."""
-    ci = np.empty_like(t)
-    si = np.empty_like(t)
-    sin = np.sin(t)
-    lo = t <= _SERIES_CUT
-    ci[lo] = _ci_series(t[lo])
-    si[lo] = _si_series(t[lo])
-    hi = ~lo
-    fgsc = (*_fg(t[hi]), sin[hi], np.cos(t[hi]))
-    ci[hi] = _ci_far(*fgsc)
-    si[hi] = _si_far(*fgsc)
-    return ci, si, sin
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +113,7 @@ def cosine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("cosine_integral requires t > 0")
-    return _on_branches(t, arr, _ci_series, _ci_far)
+    return _on_branches(t, arr, _ci_series, lambda _, f, g, s, c: f * s - g * c)
 
 
 def sine_integral(t):
@@ -149,4 +121,4 @@ def sine_integral(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("sine_integral requires t >= 0")
-    return _on_branches(t, arr, _si_series, _si_far)
+    return _on_branches(t, arr, _si_series, lambda _, f, g, s, c: np.pi / 2 - f * c - g * s)

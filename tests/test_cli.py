@@ -400,11 +400,15 @@ def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("dx", "abc"), ("w0", None)])
+@pytest.mark.parametrize("key, value", [
+    ("dx", "abc"), ("w0", None),
+    # any domain but the two tags is a malformed file, not a usage error
+    ("domain", [1]), ("domain", 7), ("domain", None), ("domain", "foo"),
+])
 def test_matrix_header_value_of_wrong_type_exits_3(tmp_path, capsys, key, value):
     assert _op_on_edited_symbol(tmp_path, lambda header: header.update({key: value})) == 3
     err = capsys.readouterr().err
-    assert "bad header value" in err and "Traceback" not in err
+    assert f"{tmp_path / 'a.mat'}: bad header value" in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
 

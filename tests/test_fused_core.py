@@ -4,9 +4,10 @@
 passes; ``cohen``'s lag filter (time FFT, multiplier, inverse) also serves
 ``ghost_energy_report``, which reads region energies of ``cohen``, and
 ``operator_matrix``, which runs it with the conjugate multiplier on the
-Weyl lag kernel of a symbol.  ``ambiguity_filter`` (one 2-D FFT pass each
-way) serves the symbol map.  The oracles rebuild every result from a direct
-DFT sum or from symplectic transform -> multiplier -> symplectic transform.
+Weyl lag kernel of a symbol.  ``symbol_transform`` filters a symbol by
+sinc(z1 z2) with one 2-D FFT pass each way, at the FFT frequencies.  The
+oracles rebuild every result from a direct DFT sum or from symplectic
+transform -> multiplier -> symplectic transform.
 The diagonal half-lag route of ``wigner`` and ``born_jordan`` is checked
 against the full route, which a copy of the signal selects.  ``cohen`` and
 the engines fill only the lags |m| <= n/4 of the central rows [n/4, 3n/4),
@@ -22,11 +23,11 @@ import pytest
 
 from tfq import (
     PHASE_SPACE,
+    PhaseSpaceGrid,
     SampledSignal,
     StftSpec,
     Symbol,
     TFMatrix,
-    ambiguity_filter,
     born_jordan,
     born_jordan_kernel,
     born_jordan_rule,
@@ -107,15 +108,11 @@ def test_ambiguity_filter_matches_three_step(name, conj, n):
     grid = symbol_grid_for(_pair(n, False)[0])
     m = TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid, PHASE_SPACE)
     ref = symbol_filter_three_step(m, KERNELS[name], conj=conj)
-    if not conj:
-        got = ambiguity_filter(m, KERNELS[name])
-        assert got.grid == m.grid
-        assert sup_rel_error(got.values, ref.values) < TOL
-        return
-    # the conjugate filter runs on the lag kernel (the inverse FFT over w),
-    # along time at lag m = fftfreq(n, 1/n), the Nyquist lag column included
+    # the symbol-domain filter, plain or conjugate, is the lag filter on the
+    # lag kernel (the inverse FFT over w), along time at lag m = fftfreq(n,
+    # 1/n), the Nyquist lag column included
     lags = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    got = _lag_filter(np.fft.ifft(m.values, axis=1), KERNELS[name], grid.dx, lags, conj=True)
+    got = _lag_filter(np.fft.ifft(m.values, axis=1), KERNELS[name], grid.dx, lags, conj=conj)
     assert sup_rel_error(got, np.fft.ifft(ref.values, axis=1)) < TOL
 
 
@@ -131,6 +128,20 @@ def test_symbol_side_matches_three_step(n):
         eff = Symbol(symbol_filter_three_step(a.matrix, rule, conj=True))
         ref = operator_matrix(eff, weyl_rule())
         assert sup_rel_error(operator_matrix(a, rule), ref) < TOL
+
+
+# criterion 8's grid (2 n dx dw = 2) and one with no simple spacing ratio
+@pytest.mark.parametrize("args", [(32, 0.25, 32, 0.125), (64, 0.3, 64, 0.07)],
+                         ids=["criterion_8", "decimal"])
+def test_symbol_map_matches_three_step_off_the_operator_grid(args):
+    n = args[0]
+    rng = np.random.default_rng(n)
+    grid = PhaseSpaceGrid.centered(*args)
+    a = Symbol(TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid))
+    ref = symbol_filter_three_step(a.matrix, born_jordan_kernel())
+    got = symbol_transform(a).matrix
+    assert got.grid == grid
+    assert sup_rel_error(got.values, ref.values) < TOL
 
 
 @pytest.mark.parametrize("n", [64, 512])

@@ -209,13 +209,13 @@ def test_cell_averages_match_four_corner_oracle_off_lattice(rng):
 
 def test_cell_averages_evaluate_once_per_distinct_corner(monkeypatch):
     sizes = []
-    real = kernels_module._ci_si_sin
+    real = kernels_module._on_branches
 
-    def counted(t):
-        sizes.append(np.size(t))
-        return real(t)
+    def counted(t, arr, series, far):
+        sizes.append(np.size(arr))
+        return real(t, arr, series, far)
 
-    monkeypatch.setattr(kernels_module, "_ci_si_sin", counted)
+    monkeypatch.setattr(kernels_module, "_on_branches", counted)
     n = 256
     # dyadic lattice: corners at |x|, |w| = (k + 1/2) d, k < n, so n^2 in
     # all, where every cell's own four corners would be 4 (2n - 1)^2

@@ -215,6 +215,14 @@ def test_symbol_rejects_non_square_or_uncentred_grid():
             Symbol.sample(lambda x, w: 1.0, grid)
 
 
+@pytest.mark.parametrize("n", [9, 31, 33, 63])
+def test_symbol_rejects_odd_grid_count(n):
+    # the symbol map filters at the FFT frequencies, which an odd count's
+    # centred dual axis misses by half a cell: O(1) wrong, so refused
+    with pytest.raises(GridError, match="even count"):
+        Symbol.sample(lambda x, w: 1.0, PhaseSpaceGrid.centered(n, 0.25, n, 1.0 / (2 * n * 0.25)))
+
+
 def test_symbol_grid_must_match_whole(rng):
     f = band_limited_signal(rng, n=128)
     # the STFT's grid: same n and dx, but dw = 1/(n dx)

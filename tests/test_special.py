@@ -142,13 +142,17 @@ def test_ci_si_against_mpmath_across_branch_handoffs(fn, ref_fn):
     assert err.max() <= 1e-12, (t[err.argmax()], err.max())
 
 
-def test_shared_ci_si_sin_pass_equals_the_public_pair():
-    # the cell-average corners take Ci, Si and sin from one pass; each value
-    # must be the public function's, bit for bit, on both branches
-    from tfq.special import _ci_si_sin
+def test_corner_antiderivative_against_mpmath_across_branch_handoffs():
+    # the Born-Jordan cell-average corner H(c) = (c Ci(c) - sin c - Si(c))/(4 pi)
+    # combines both functions on one pass of each branch; measured worst
+    # 7.4e-15 as |err| / max(1, |ref|)
+    from tfq.kernels import _corner_antiderivative
 
     t = _branch_handoff_points()
-    ci, si, sin = _ci_si_sin(t)
-    assert np.array_equal(ci, cosine_integral(t))
-    assert np.array_equal(si, sine_integral(t))
-    assert np.array_equal(sin, np.sin(t))
+    got = _corner_antiderivative(t)
+    with mpmath.workdps(30):
+        ref = np.array([float((v * mpmath.ci(v) - mpmath.sin(v) - mpmath.si(v)) / (4 * mpmath.pi))
+                        for v in map(mpmath.mpf, t.tolist())])
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-13, (t[err.argmax()], err.max())
+    assert _corner_antiderivative(np.zeros(3)).tolist() == [0.0] * 3
