@@ -8,22 +8,24 @@ dw = 1/(2 n dx) over n centered bins.  Inputs must be twice oversampled and
 supported in the central half of the window; the engines enforce the
 support condition and reject violations.
 
-The lag phase is (-1)^m and, with centred lag storage, the output phase
-(-1)^k, whatever x0 is: ``wigner`` is one correlation and one in-place lag
-FFT.  A product f[i + m] conj(g[i - m]) pairs two samples 2|m| apart, and
-the central half [n/4, 3n/4) holds no two samples n/2 or more apart, so
-every lag |m| >= n/4 pairs a sample below the support floor with another;
-on a row i outside [n/4, 3n/4), i + m and i - m are never both central.
-The engines write only the central rows x the band |m| <= n/4 of a
-zero-filled buffer.  ``wigner`` runs its lag FFT on the central rows alone
-and leaves the outer rows exactly 0; ``cohen`` runs ``_lag_filter`` (time
-FFT, multiplier, inverse time FFT) on the band's n rows, since the filter
-spreads rows, then the lag FFT on all n rows, as operator matrices do on
-their whole lag kernel.  Summed over every entry instead, W(f, g), or a
-Cohen distribution whose multiplier has |Phi| <= 1, would differ by at
-most B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the
-correlation restricted to the entries not written.  The symbol map in
-``operators`` reuses ``_filtered``, the multiplier pass of ``_lag_filter``.
+The lag phase is (-1)^m whatever x0 is, and lag m sits at column m mod n
+of the lag FFT, so no output phase is left; the factor 2 dx (``cohen``:
+2 dx / n, the 1/n of its inverse time FFT too) rides on the f-side signal.
+A product f[i + m] conj(g[i - m]) pairs two samples 2|m| apart, and the
+central half [n/4, 3n/4) holds no two samples n/2 or more apart, so every
+lag |m| >= n/4 pairs a sample below the support floor with another; on a
+row i outside [n/4, 3n/4), i + m and i - m are never both central.  The
+engines write only the central rows x the band |m| <= n/4 of a zero-filled
+buffer (across, the first n (n/2 + 1) entries of the n x n output).
+``wigner`` runs its lag FFT on the central rows alone and leaves the outer
+rows exactly 0; ``cohen`` runs ``_lag_filter`` (time FFT, multiplier,
+inverse time FFT) on the band's n rows, since the filter spreads rows,
+then the lag FFT on all n rows, as operator matrices do on their whole lag
+kernel.  Summed over every entry instead, W(f, g), or a Cohen distribution
+whose multiplier has |Phi| <= 1, would differ by at most
+B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the correlation
+restricted to the entries not written.  The symbol map in ``operators``
+reuses ``_filtered``, the multiplier pass of ``_lag_filter``.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
@@ -108,17 +110,18 @@ def _central(n: int) -> slice:
     return slice(n // 4, 3 * n // 4)
 
 
-def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False):
-    """(-1)^m f[i + m] conj(g[i - m]) at row i, column m + n/2, or with
-    ``half`` at column m for the lags m = 0..n/2 only: a zero-filled n-row
-    buffer and the n-row view of its band of lags |m| <= n/4, written only
-    on the central rows [n/4, 3n/4).  The two samples of a product lie
-    2|m| apart, and the central half that the support guard allows holds no
-    two samples n/2 or more apart, so every lag |m| >= n/4 pairs a sample
-    below the support floor with another (the band's edge lags +-n/4 too);
-    on an outer row, i + m and i - m are never both central.  The lag sign
-    i^(i + m) i^-(i - m) rides on the signals, so the written entries are
-    the product of two sliding windows over the zero-padded signals."""
+def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half=False):
+    """scale (-1)^m f[i + m] conj(g[i - m]) at row i and lag m, on the
+    central rows [n/4, 3n/4) of a zero-filled buffer: the buffer and the
+    n-row view of its band of lags |m| <= n/4, lag m at column m + n/4, or
+    with ``half`` at column m of an n x (n/2 + 1) buffer (lags 0..n/2).
+    Across, the band is the first n (n/2 + 1) entries of the n x n buffer,
+    C-contiguous, so its column FFTs run at an odd row stride.  Every other
+    entry pairs a sample below the support floor with another (see the
+    module docstring), the band's edge lags +-n/4 too.  The lag sign
+    i^(i + m) i^-(i - m) and ``scale`` ride on the signals, so the written
+    entries are the product of two sliding windows over the zero-padded
+    signals."""
     if g is None:
         g = f
     if not f.same_grid(g):
@@ -130,42 +133,47 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, half: bool = False):
     m0, count = (0, q + 1) if half else (-q, 2 * q + 1)
     quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
     pad = np.zeros(n // 2, dtype=complex)
-    fp = np.concatenate([pad, f.samples * quarter, pad])
+    fp = np.concatenate([pad, f.samples * quarter * scale, pad])
     gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
     rows = slice(n // 2 + m0, 3 * n // 2 + m0)  # window of row i: i + m0 + n/2
     central = _central(n)
     # allocated after the small arrays above (before them, it left the heap
     # 3 MB larger over a run of born_jordan_direct calls at n = 256); fresh
     # pages come zeroed from the system, so np.zeros clears a large buffer
-    # for free, and the outer rows, never written, take no memory
+    # for free, and pages never written take no memory (exactly n^2 across:
+    # n + 4 columns raised the benchmark's peak RSS by 15 MB)
     r = np.zeros((n, n // 2 + 1 if half else n), dtype=complex)
-    lo = 0 if half else m0 + n // 2  # the column of lag m0
-    band = r[:, lo : lo + count]
+    band = r[:, :count] if half else r.reshape(-1)[: n * count].reshape(n, count)
     np.multiply(sliding_window_view(fp, count)[rows][central],
                 sliding_window_view(gp, count)[rows][::-1][central], out=band[central])
     return r, band
 
 
-def _lag_step(r: np.ndarray, dx: float, half: bool = False,
-              rows: slice = slice(None)) -> np.ndarray:
-    """Lag FFT of the ``rows`` of ``_correlation``'s buffer, times 2 dx, the
-    other rows left as they are: in place with the sign (-1)^k on all n
-    lags; with ``half``, on the n/2 + 1 lags m >= 0 of a Hermitian
+def _lag_step(r: np.ndarray, band: np.ndarray, half=False, rows=slice(None)) -> np.ndarray:
+    """Lag FFT of the ``rows`` of ``_correlation``'s band, the other rows of
+    ``r`` zero.  Across, bottom up, each block of band rows goes to a zero
+    row buffer, lag m at column m mod n, and its FFT into the same rows of
+    ``r``: output row a starts at a n >= a (n/2 + 1), past every band row
+    not yet read.  With ``half``, on the n/2 + 1 lags m >= 0 of a Hermitian
     correlation, a real inverse FFT of the conjugate into a new zero-filled
     float64 array (sum_m r[m] e^{-2 pi i m k / n} is real there, so it
     equals its conjugate, n times the inverse real FFT of conj(r))."""
-    part = r[rows]
-    if not half:
-        np.fft.fft(part, axis=1, out=part)
-        part[:, 0::2] *= 2.0 * dx
-        part[:, 1::2] *= -2.0 * dx
-        return r
-    n = 2 * (r.shape[1] - 1)
-    np.conj(part, out=part)
-    out = np.zeros((len(r), n))
-    np.fft.irfft(part, n, axis=1, norm="forward", out=out[rows])
-    out[rows] *= 2.0 * dx
-    return out
+    n = len(r)
+    if half:
+        part = np.conj(r[rows], out=r[rows])
+        out = np.zeros((n, n))
+        np.fft.irfft(part, n, axis=1, norm="forward", out=out[rows])
+        return out
+    lo, hi, _ = rows.indices(n)
+    q, step = n // 4, 16  # step: rows per FFT block
+    buf = np.zeros((step, n), dtype=complex)
+    for b in range(hi, lo, -step):
+        a = max(lo, b - step)
+        buf[: b - a, : q + 1] = band[a:b, q:]
+        buf[: b - a, n - q :] = band[a:b, :q]
+        np.fft.fft(buf[: b - a], axis=1, out=r[a:b])
+    r.reshape(-1)[lo * band.shape[1] : lo * n] = 0.0  # band rows left above row lo
+    return r
 
 
 def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -186,67 +194,69 @@ def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
 _BLOCKS = 16  # row blocks per multiplier pass: no n x n multiplier at once
 
 
-def _filtered(spec: np.ndarray, mult, axes) -> np.ndarray:
+def _filtered(spec: np.ndarray, mult, axes, norm: str = "backward") -> np.ndarray:
     """In place: multiply the spectrum's rows by ``mult(rows)``, one block of
-    rows at a time; invert the FFT over ``axes``."""
+    rows at a time; invert the FFT over ``axes`` with numpy's ``norm``."""
     step = -(-len(spec) // _BLOCKS)
     for k in range(0, len(spec), step):
         rows = slice(k, k + step)
         spec[rows] *= mult(rows)
-    return np.fft.ifftn(spec, axes=axes, out=spec)
+    return np.fft.ifftn(spec, axes=axes, norm=norm, out=spec)
 
 
 def _lag_filter(r: np.ndarray, kernel: CohenKernel, dx: float, lags: np.ndarray,
-                conj: bool = False) -> np.ndarray:
+                conj: bool = False, norm: str = "backward") -> np.ndarray:
     """In place on rows at time i and integer lag ``lags[j]``: time FFT, the
     multiplier at (2 lags dx, k / (n dx)) (conjugated with ``conj``), inverse
-    time FFT.  Born-Jordan reads ``_sinc_lattice``, other kernels
-    ``ambiguity_multiplier``."""
+    time FFT with numpy's ``norm``.  Born-Jordan reads ``_sinc_lattice``,
+    other kernels ``ambiguity_multiplier``."""
     n = len(r)
     np.fft.fft(r, axis=0, out=r)
     if kernel.kind == BORN_JORDAN:  # real, so its own conjugate
         k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-        return _filtered(r, lambda rows: _sinc_lattice(k[rows], lags, n), axes=(0,))
+        return _filtered(r, lambda rows: _sinc_lattice(k[rows], lags, n), (0,), norm)
     z1, z2 = 2.0 * dx * lags[None, :], np.fft.fftfreq(n, dx)[:, None]
 
     def phi(rows):
         out = ambiguity_multiplier(kernel, z1, z2[rows])
         return np.conj(out) if conj else out
 
-    return _filtered(r, phi, axes=(0,))
+    return _filtered(r, phi, (0,), norm)
 
 
 def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     """Cross-distribution W(f, g) by exact integer-lag correlation.
 
     Sesquilinear with the conjugate on g; real-valued on the diagonal.
-    Only the lags |m| <= n/4 of the central rows [n/4, 3n/4) are built and
-    lag-transformed, and the outer rows are exactly 0; with g omitted or
-    ``g is f`` only m = 0..n/4 and the values are float64, otherwise
-    complex128.  Raises AliasingError when either support leaks outside the
-    central half-window.
+    Only the lags |m| <= n/4 of the central rows [n/4, 3n/4) of 2 dx f by
+    g are built, across in the output's own memory, and lag-transformed;
+    the outer rows are exactly 0.  With g omitted or ``g is f`` only
+    m = 0..n/4, and float64 values, otherwise complex128.  Raises
+    AliasingError when either support leaks outside the central half-window.
     """
     half = g is None or g is f
-    r, _ = _correlation(f, g, half)
-    return TFMatrix(_lag_step(r, f.dx, half, _central(f.n)), wigner_grid(f), PHASE_SPACE)
+    r, band = _correlation(f, g, 2.0 * f.dx, half)
+    return TFMatrix(_lag_step(r, band, half, _central(f.n)), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
     """Cohen-class distribution: W(f, g) filtered by the kernel's ambiguity
     multiplier Phi(z1, z2), applied to the correlation's time FFT at
     (lag 2 m dx, time frequency) on the band |m| <= n/4, filled on the
-    central rows only: the entries the support guard leaves nonzero.
-    Kernels whose multiplier is exactly one (delta, tau = 1/2) give
-    ``wigner`` itself.  Born-Jordan's sinc(z1 z2) comes from a sine table
-    on either route; on the diagonal (g omitted or ``g is f``) it runs on
-    the lags m = 0..n/4 only and returns float64 values, every other case
-    complex128."""
+    central rows only (the entries the support guard leaves nonzero) with
+    2 dx / n on f, so neither the inverse time FFT nor the lag FFT scales;
+    across, the band lies in the output's own memory.  Kernels whose
+    multiplier is exactly one (delta, tau = 1/2) give ``wigner`` itself.
+    Born-Jordan's sinc(z1 z2) comes from a sine table on either route; on
+    the diagonal (g omitted or ``g is f``) it runs on the lags m = 0..n/4
+    only and returns float64 values, every other case complex128."""
     if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
         return wigner(f, g)
     half = kernel.kind == BORN_JORDAN and (g is None or g is f)
-    r, band = _correlation(f, g, half)
-    _lag_filter(band, kernel, f.dx, np.arange(band.shape[1]) - (0 if half else f.n // 4))
-    return TFMatrix(_lag_step(r, f.dx, half), wigner_grid(f), PHASE_SPACE)
+    r, band = _correlation(f, g, 2.0 * f.dx / f.n, half)
+    lags = np.arange(band.shape[1]) - (0 if half else f.n // 4)
+    _lag_filter(band, kernel, f.dx, lags, norm="forward")
+    return TFMatrix(_lag_step(r, band, half), wigner_grid(f), PHASE_SPACE)
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:

@@ -124,6 +124,26 @@ def test_wigner_rejects_leaky_support():
         wigner(shifted, shifted)
 
 
+def test_wigner_rejects_signals_on_two_grids():
+    f = gaussian_signal(n=64)
+    g = gaussian_signal(n=64, dx=1 / 8)
+    for call in (lambda: wigner(f, g), lambda: born_jordan(f, g)):
+        with pytest.raises(GridError, match="common grid"):
+            call()
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+def test_quadratic_engines_of_zero_signal_are_exact_zeros(cross):
+    # the support guard returns early on an all-zero signal; every route,
+    # the compact cross band included, must then give exact zeros
+    n = 64
+    f = SampledSignal(np.zeros(n, dtype=complex), x0=-2.0, dx=1 / 16)
+    g = f.with_samples(f.samples.copy()) if cross else None
+    for out in (wigner(f, g), born_jordan(f, g), cohen(f, g, tau_kernel(0.3))):
+        assert out.values.shape == (n, n)
+        assert not out.values.any()
+
+
 def test_wigner_time_shift_covariance(rng):
     f = band_limited_signal(rng, n=512, width=2.0)
     cells = 12

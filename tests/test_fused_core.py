@@ -13,7 +13,8 @@ against the full route, which a copy of the signal selects.  ``cohen`` and
 the engines fill only the lags |m| <= n/4 of the central rows [n/4, 3n/4),
 and ``wigner`` lag-transforms only those rows; signals with tails just
 below the support floor check that against oracles that sum every entry,
-within a provable bound on what the other entries carry.
+within a provable bound on what the other entries carry.  Across, the band
+is a compact array in the output's own memory, checked by spies.
 """
 
 import tracemalloc
@@ -171,13 +172,13 @@ def _copy(f):
     return f.with_samples(f.samples.copy())
 
 
-def _central_noise(n):
+def _central_noise(n, dx=1 / 16, seed=None):
     """Complex noise filling the central half-window, so every lag the
     support guard admits is nonzero."""
-    rng = np.random.default_rng(n)
+    rng = np.random.default_rng(n if seed is None else seed)
     samples = np.zeros(n, dtype=complex)
     samples[n // 4 : 3 * n // 4] = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
-    return SampledSignal(samples, x0=-n / 32, dx=1 / 16)
+    return SampledSignal(samples, x0=-n * dx / 2, dx=dx)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
@@ -199,9 +200,9 @@ def test_lag_filter_sees_only_the_quarter_band(monkeypatch, name, cross):
     # n/4 + 1 lags m >= 0 on the diagonal Born-Jordan route
     seen = []
 
-    def spy(r, kernel, dx, lags, conj=False):
+    def spy(r, kernel, dx, lags, conj=False, norm="backward"):
         seen.append((r.shape, lags.copy()))
-        return _lag_filter(r, kernel, dx, lags, conj)
+        return _lag_filter(r, kernel, dx, lags, conj, norm)
 
     monkeypatch.setattr(distributions, "_lag_filter", spy)
     n = 64
@@ -222,9 +223,9 @@ def test_lag_step_sees_only_the_central_rows(monkeypatch, cross):
     # FFT runs on all n
     seen = []
 
-    def spy(r, dx, half=False, rows=slice(None)):
+    def spy(r, band, half=False, rows=slice(None)):
         seen.append(len(r[rows]))
-        return _lag_step(r, dx, half, rows)
+        return _lag_step(r, band, half, rows)
 
     monkeypatch.setattr(distributions, "_lag_step", spy)
     n = 64
@@ -236,6 +237,61 @@ def test_lag_step_sees_only_the_central_rows(monkeypatch, cross):
     for kernel in (born_jordan_kernel(), tau_kernel(0.3)):
         cohen(f, g, kernel)
     assert seen == [n // 2, n, n]
+
+
+@pytest.mark.parametrize("case", ["bj-cross", "tau0.3-cross", "tau0.3-diag", "wigner-cross"])
+def test_band_is_compact_in_the_output(monkeypatch, case):
+    # across, the band |m| <= n/4 is the first n (n/2 + 1) entries of the
+    # n x n output: C-contiguous, so the time FFT runs down its columns at
+    # an odd row stride, and in the result's own memory
+    name, route = case.split("-")
+    seen = []
+
+    def filter_spy(r, *args, **kwargs):
+        seen.append(r)
+        return _lag_filter(r, *args, **kwargs)
+
+    def step_spy(r, band, *args):
+        seen.append(band)
+        return _lag_step(r, band, *args)
+
+    if name == "wigner":
+        monkeypatch.setattr(distributions, "_lag_step", step_spy)
+    else:
+        monkeypatch.setattr(distributions, "_lag_filter", filter_spy)
+    n = 256
+    f = _central_noise(n)
+    g = _copy(f) if route == "cross" else None
+    out = wigner(f, g) if name == "wigner" else cohen(f, g, KERNELS[name])
+    (band,) = seen
+    assert band.shape == (n, n // 2 + 1)
+    assert band.flags.c_contiguous
+    assert band.strides[0] == (n // 2 + 1) * 16
+    assert np.shares_memory(band, out.values)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+def test_outer_rows_exactly_zero_at_1024(cross):
+    # across, output rows [n/4, 3n/4) start past the band rows they
+    # overwrite, and the band rows above row n/4 (a 2 MB span at n = 1024)
+    # must be cleared after the lag FFT
+    n = 1024
+    f = _central_noise(n)
+    w = wigner(f, _copy(f) if cross else None).values
+    assert not w[: n // 4].any() and not w[3 * n // 4 :].any()
+    assert w[n // 4 : 3 * n // 4].any(axis=1).all()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_cross_routes_match_full_lag_oracles_off_dyadic_spacing(n):
+    # at dx = 0.07 the factor 2 dx / n folded into the signal is not a power
+    # of two, so the engines round differently from the oracles, which sum
+    # every lag |m| < n/2 (exactly 0 outside the band here)
+    f, g = _central_noise(n, dx=0.07), _central_noise(n, dx=0.07, seed=n + 1)
+    assert sup_rel_error(wigner(f, g).values, wigner_direct_sum(f, g)) <= 1e-13
+    for name in ("bj", "tau0.3"):
+        ref = cohen_full_lag(f, g, KERNELS[name])
+        assert sup_rel_error(cohen(f, g, KERNELS[name]).values, ref) <= 1e-13
 
 
 def _sub_floor_tails(sig, rng, phases):

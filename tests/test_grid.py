@@ -5,10 +5,12 @@ from tfq import (
     AMBIGUITY,
     AliasingError,
     DomainError,
+    GenerationError,
     GridError,
     PHASE_SPACE,
     PhaseSpaceGrid,
     SampledSignal,
+    SignalRecipe,
     SizeError,
     TFMatrix,
     assert_central_support,
@@ -235,6 +237,17 @@ def test_phase_space_grid_rejects_non_finite(field, bad):
 
 
 # --- error contract: each guard named by its message ----------------------------
+
+@pytest.mark.parametrize("nx, nw", [(0, 4), (4, 0), (-1, 4)])
+def test_phase_space_grid_rejects_non_positive_counts(nx, nw):
+    with pytest.raises(GridError, match="counts must be positive"):
+        PhaseSpaceGrid(nx=nx, x0=0.0, dx=0.1, nw=nw, w0=0.0, dw=0.1)
+
+
+def test_signal_recipe_rejects_unknown_kind():
+    with pytest.raises(GenerationError, match="unknown recipe kind"):
+        SignalRecipe(kind="mystery", n=64, dx=1 / 16)
+
 
 def test_signal_rejects_two_dimensional_samples():
     # 8 rows of 8 would pass the power-of-two length check

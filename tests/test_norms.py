@@ -240,6 +240,17 @@ def test_scaling_resolution_error():
     assert info.value.lam == 2.0**22
 
 
+def test_sweep_signal_rejects_under_resolved_dilation(monkeypatch):
+    # a profile that samples to all zeros on the sweep grid has no norm to
+    # scale; stand in a zero bump, since the real grids resolve every family
+    from tfq import norms
+
+    monkeypatch.setattr(norms, "_bump", np.zeros_like)
+    with pytest.raises(ResolutionError, match="under-resolved") as info:
+        norms._sweep_signal("bump_amalgam", 4.0)
+    assert info.value.lam == 4.0
+
+
 def test_unknown_family_rejected():
     with pytest.raises(DomainError):
         scaling_norm("mystery", MixedNormSpec(2.0, 2.0), 4.0)
@@ -264,6 +275,17 @@ def test_ghost_region_outside_grid(rng):
                            params={"dt": 4.0, "dnu": 0.0}))
     with pytest.raises(DomainError):
         ghost_energy_report(f, [], Rect(100.0, 101.0, 0.0, 0.1))
+
+
+def test_ghost_report_rejects_zero_reference_energy():
+    # a region in the outer rows x < -n dx / 4, where W is exactly 0
+    from tfq.norms import Rect, ghost_energy_report
+    from tfq.synth import SignalRecipe, synth
+
+    f = synth(SignalRecipe(kind="two_atoms", n=512, dx=1 / 16,
+                           params={"dt": 4.0, "dnu": 0.0}))
+    with pytest.raises(DomainError, match="no region energy"):
+        ghost_energy_report(f, [], Rect(-15.0, -13.0, -1.0, 1.0))
 
 
 def test_fit_loglog_rejects_repeated_dilations():

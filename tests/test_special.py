@@ -52,6 +52,14 @@ def test_ci_domain_error():
         cosine_integral(np.array([1.0, -2.0]))
 
 
+def test_si_domain_error():
+    with pytest.raises(DomainError, match="t >= 0"):
+        sine_integral(-1.0)
+    with pytest.raises(DomainError):
+        sine_integral(np.array([1.0, -2.0]))
+    assert sine_integral(0.0) == 0.0
+
+
 def test_ci_against_frozen_oracle_values():
     for t, ref in CI_ORACLE.items():
         assert abs(cosine_integral(t) - ref) < 1e-9
