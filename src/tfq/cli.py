@@ -126,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["wigner", "fourier-plain", "fourier-symplectic"])
     p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--w", type=float, default=0.0)
+    p.add_argument("--x", type=_checked(float, np.isfinite, "finite"), default=0.0)
+    p.add_argument("--w", type=_checked(float, np.isfinite, "finite"), default=0.0)
 
     p = sub.add_parser("experiment", help="scaling and interference experiments")
     esub = p.add_subparsers(dest="experiment", required=True)

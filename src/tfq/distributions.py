@@ -24,8 +24,8 @@ then the lag FFT on all n rows, as operator matrices do on their whole lag
 kernel.  Summed over every entry instead, W(f, g), or a Cohen distribution
 whose multiplier has |Phi| <= 1, would differ by at most
 B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the correlation
-restricted to the entries not written.  The symbol map in ``operators``
-reuses ``_filtered``, the multiplier pass of ``_lag_filter``.
+restricted to the entries not written.  Operator matrices and the symbol
+map in ``operators`` run ``_lag_filter`` too, each with its multiplier.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
@@ -191,37 +191,27 @@ def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-_BLOCKS = 16  # row blocks per multiplier pass: no n x n multiplier at once
-
-
-def _filtered(spec: np.ndarray, mult, axes, norm: str = "backward") -> np.ndarray:
-    """In place: multiply the spectrum's rows by ``mult(rows)``, one block of
-    rows at a time; invert the FFT over ``axes`` with numpy's ``norm``."""
-    step = -(-len(spec) // _BLOCKS)
-    for k in range(0, len(spec), step):
-        rows = slice(k, k + step)
-        spec[rows] *= mult(rows)
-    return np.fft.ifftn(spec, axes=axes, norm=norm, out=spec)
-
-
-def _lag_filter(r: np.ndarray, kernel: CohenKernel, dx: float, lags: np.ndarray,
-                conj: bool = False, norm: str = "backward") -> np.ndarray:
-    """In place on rows at time i and integer lag ``lags[j]``: time FFT, the
-    multiplier at (2 lags dx, k / (n dx)) (conjugated with ``conj``), inverse
-    time FFT with numpy's ``norm``.  Born-Jordan reads ``_sinc_lattice``,
-    other kernels ``ambiguity_multiplier``."""
-    n = len(r)
-    np.fft.fft(r, axis=0, out=r)
-    if kernel.kind == BORN_JORDAN:  # real, so its own conjugate
+def _lattice_multiplier(kernel: CohenKernel, dx: float, lags: np.ndarray, n: int):
+    """The kernel's multiplier at (2 lags dx, k / (n dx)) on a block of rows
+    k of an n-point time FFT, as a callable: Born-Jordan from
+    ``_sinc_lattice``, other kernels from ``ambiguity_multiplier``."""
+    if kernel.kind == BORN_JORDAN:
         k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-        return _filtered(r, lambda rows: _sinc_lattice(k[rows], lags, n), (0,), norm)
+        return lambda rows: _sinc_lattice(k[rows], lags, n)
     z1, z2 = 2.0 * dx * lags[None, :], np.fft.fftfreq(n, dx)[:, None]
+    return lambda rows: ambiguity_multiplier(kernel, z1, z2[rows])
 
-    def phi(rows):
-        out = ambiguity_multiplier(kernel, z1, z2[rows])
-        return np.conj(out) if conj else out
 
-    return _filtered(r, phi, (0,), norm)
+def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
+    """In place along axis 0: time FFT, rows times ``mult(rows)`` in 16 row
+    blocks (no n x n multiplier at once), inverse time FFT with numpy's
+    ``norm``."""
+    np.fft.fft(r, axis=0, out=r)
+    step = -(-len(r) // 16)
+    for k in range(0, len(r), step):
+        rows = slice(k, k + step)
+        r[rows] *= mult(rows)
+    return np.fft.ifft(r, axis=0, norm=norm, out=r)
 
 
 def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
@@ -255,7 +245,7 @@ def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFM
     half = kernel.kind == BORN_JORDAN and (g is None or g is f)
     r, band = _correlation(f, g, 2.0 * f.dx / f.n, half)
     lags = np.arange(band.shape[1]) - (0 if half else f.n // 4)
-    _lag_filter(band, kernel, f.dx, lags, norm="forward")
+    _lag_filter(band, _lattice_multiplier(kernel, f.dx, lags, f.n), "forward")
     return TFMatrix(_lag_step(r, band, half), wigner_grid(f), PHASE_SPACE)
 
 

@@ -1,12 +1,11 @@
 """Cohen kernels: the time-frequency filter bank in the ambiguity domain.
 
 Every kernel is represented by its ambiguity-domain multiplier, the
-symplectic transform of the phase-space kernel evaluated at (z1, z2):
+symplectic transform of the phase-space kernel, a function of z1 z2 alone:
 
 * delta (Wigner)      -> 1
 * Born-Jordan         -> sinc(z1 z2), real, |.| <= 1, equal to 1 on both axes
 * tau family          -> e^{+pi i (2 tau - 1) z1 z2}, unimodular
-* custom              -> any callable (z1, z2) -> complex
 
 The Born-Jordan phase-space kernel itself is -2 Ci(4 pi |z1 z2|) in
 dimension one: logarithmically singular along the axes, slowly decaying off
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, log
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,23 +28,18 @@ from .special import _ci_series, _on_branches, _si_series, cosine_integral, gaus
 DELTA = "delta"
 BORN_JORDAN = "born_jordan"
 TAU = "tau"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class CohenKernel:
     kind: str
-    tau: Optional[float] = None
-    multiplier_fn: Optional[Callable] = None
+    tau: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (DELTA, BORN_JORDAN, TAU, CUSTOM):
+        if self.kind not in (DELTA, BORN_JORDAN, TAU):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == TAU:
-            if self.tau is None or not 0.0 <= self.tau <= 1.0:
-                raise DomainError("tau must lie in [0, 1]")
-        if self.kind == CUSTOM and self.multiplier_fn is None:
-            raise DomainError("custom kernel needs a multiplier callable")
+        if self.kind == TAU and (self.tau is None or not 0.0 <= self.tau <= 1.0):
+            raise DomainError("tau must lie in [0, 1]")
 
     @property
     def label(self) -> str:
@@ -82,9 +75,7 @@ def ambiguity_multiplier(kernel: CohenKernel, z1, z2):
         return np.ones(np.broadcast(z1, z2).shape, dtype=complex)
     if kernel.kind == BORN_JORDAN:
         return np.sinc(z1 * z2).astype(complex)
-    if kernel.kind == TAU:
-        return np.exp(1j * np.pi * (2.0 * kernel.tau - 1.0) * z1 * z2)
-    return np.asarray(kernel.multiplier_fn(z1, z2), dtype=complex)
+    return np.exp(1j * np.pi * (2.0 * kernel.tau - 1.0) * z1 * z2)
 
 
 # ---------------------------------------------------------------------------

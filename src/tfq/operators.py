@@ -17,7 +17,7 @@ ambiguity multiplier.  ``operator_matrix`` filters K of a along time, at
 (2 m dx, time frequency): the lag filter that ``cohen`` runs on a
 correlation.  This is an exact rearrangement of the basis pairing, which
 the tests verify directly.  ``symbol_transform`` filters a symbol by
-sinc(z1 z2) with one 2-D FFT each way.
+sinc(z1 z2): the same lag filter between an FFT and an inverse FFT over w.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import DomainError, GridError
 from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
-from .distributions import _filtered, _lag_filter, cohen, wigner_grid
+from .distributions import _lag_filter, _lattice_multiplier, cohen, wigner_grid
 from .kernels import (DELTA, CohenKernel, ambiguity_multiplier, born_jordan_kernel,
                       delta_kernel, tau_kernel)
 
@@ -50,6 +50,8 @@ class Symbol:
         g = self.matrix.grid
         if g.nx != g.nw or g.nx % 2 or not g.is_centered():
             raise GridError("symbol grids must be square and centered, with an even count")
+        if not np.isfinite(self.matrix.values).all():
+            raise DomainError("symbol values must be finite")
 
     @classmethod
     def sample(cls, fn, grid: PhaseSpaceGrid) -> "Symbol":
@@ -100,7 +102,8 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     lag *= 2.0 * n * g.dx * g.dw
     lag[:, 1::2] *= -1.0
     if rule.kind != DELTA:
-        _lag_filter(lag, rule, g.dx, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), conj=True)
+        phi = _lattice_multiplier(rule, g.dx, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), n)
+        _lag_filter(lag, lambda rows: np.conj(phi(rows)))
     # lag m fills M[i + m, i - m], i in [|m|, n - |m|): one stride-(n + 1)
     # anti-diagonal of the flat matrix; entries with j + u odd stay zero
     out = np.zeros((n, n), dtype=complex)
@@ -123,14 +126,13 @@ def apply(a: Symbol, rule: CohenKernel, f: SampledSignal) -> SampledSignal:
 def symbol_transform(a: Symbol) -> Symbol:
     """The Born-Jordan-to-Weyl symbol map: filter a by sinc(z1 z2).
 
-    Computed spectrally as Fs^{-1}[ sinc(z1 z2) . Fs a ], one 2-D FFT each
-    way; sinc(z1 z2) is even in each argument, so it is read at the FFT
-    frequencies themselves.  The output grid equals the input grid and the
-    map contracts the grid L^2 norm.
+    Computed spectrally as Fs^{-1}[ sinc(z1 z2) . Fs a ]: FFT over w, the
+    lag filter along x, inverse FFT over w; sinc(z1 z2) is even in each
+    argument, so it is read at the FFT frequencies.  The output grid equals
+    the input grid and the map contracts the grid L^2 norm.
     """
     g = a.grid
-    z1 = np.fft.fftfreq(g.nw, g.dw)
-    z2 = np.fft.fftfreq(g.nx, g.dx)[:, None]
-    spec = np.fft.fft2(a.matrix.values)
-    _filtered(spec, lambda rows: ambiguity_multiplier(born_jordan_kernel(), z1, z2[rows]), (0, 1))
-    return Symbol(a.matrix.with_values(spec))
+    z1, z2 = np.fft.fftfreq(g.nw, g.dw), np.fft.fftfreq(g.nx, g.dx)[:, None]
+    spec = np.fft.fft(a.matrix.values, axis=1)
+    _lag_filter(spec, lambda rows: ambiguity_multiplier(born_jordan_kernel(), z1, z2[rows]))
+    return Symbol(a.matrix.with_values(np.fft.ifft(spec, axis=1, out=spec)))

@@ -36,7 +36,7 @@ def synth(recipe: SignalRecipe) -> SampledSignal:
     """Generate the recipe's signal; deterministic for a fixed seed.
 
     Every generated signal is checked against the central-half support
-    condition of the quadratic engines.
+    condition of the quadratic engines, and must not be all zero.
     """
     p = recipe.params
     if recipe.kind == "from_file":
@@ -68,6 +68,8 @@ def synth(recipe: SignalRecipe) -> SampledSignal:
             rate = p.get("rate", 1.0)
             samples = gaussian(x) * np.exp(1j * np.pi * rate * x**2)
         sig = SampledSignal(samples, x0=-recipe.n * recipe.dx / 2.0, dx=recipe.dx)
+    if not sig.samples.any():  # the support check passes vacuously on zeros
+        raise GenerationError("recipe produced an all-zero signal")
     try:
         assert_central_support(sig)
     except Exception as exc:

@@ -7,7 +7,8 @@ same sum after a time filter of the correlation (both over every lag
 |m| < n/2 of every row, where the engines build only |m| <= n/4 on the
 central rows; ``dropped_lag_bound`` bounds what the other entries carry),
 and the three-step ambiguity route (symplectic transform, multiplier,
-symplectic transform back) built from public functions only.  Two more
+symplectic transform back) built from public functions only, for a
+kernel or for any multiplier callable (z1, z2) -> complex.  Two more
 check the Born-Jordan kernel: its cell averages with one antiderivative evaluation
 per cell corner, and the distribution as a tau-average of tau-Wigner
 distributions, with neither the multiplier nor Ci.  Two are the library's
@@ -22,8 +23,7 @@ with its own lag FFT, the oracle for ``cohen`` with a tau kernel),
 ``circular_convolve`` (the grid convolution behind the convolution
 identity of the symplectic transform), ``compose_j`` with
 ``is_j_closed`` (a matrix composed with the rotation J on a grid whose two
-axes coincide), ``conjugate_exponent`` (the Hoelder pair p') and
-``custom_kernel`` (a Cohen kernel from any multiplier callable).
+axes coincide) and ``conjugate_exponent`` (the Hoelder pair p').
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ import numpy as np
 
 from tfq import (
     PHASE_SPACE,
-    CohenKernel,
     DomainError,
     GridError,
     TFMatrix,
@@ -46,7 +45,7 @@ from tfq import (
     wigner_grid,
 )
 from tfq.grid import _ORIGIN_RTOL
-from tfq.kernels import CUSTOM, _vg_integrand
+from tfq.kernels import _vg_integrand
 from tfq.special import _SERIES_CUT, _ci_series
 
 _ASYM_CUT = 32.0  # where ci_evaluate's own dispatch turns to the expansion
@@ -292,9 +291,11 @@ def dropped_lag_bound(f, g):
 
 
 def symbol_filter_three_step(matrix, kernel, conj=False):
-    """Fs[Phi . Fs matrix] with Phi sampled on the centred dual grid."""
+    """Fs[Phi . Fs matrix] with Phi sampled on the centred dual grid: the
+    kernel's multiplier, or ``kernel`` itself when it is a callable."""
     amb = symplectic_fourier(matrix)
-    mult = ambiguity_multiplier(kernel, amb.grid.x_axis[:, None], amb.grid.w_axis[None, :])
+    z1, z2 = amb.grid.x_axis[:, None], amb.grid.w_axis[None, :]
+    mult = kernel(z1, z2) if callable(kernel) else ambiguity_multiplier(kernel, z1, z2)
     return symplectic_fourier(amb.with_values(amb.values * (np.conj(mult) if conj else mult)))
 
 
@@ -420,8 +421,3 @@ def conjugate_exponent(p: float) -> float:
     if p < 1.0:
         raise DomainError("exponents must lie in [1, inf]")
     return p / (p - 1.0)
-
-
-def custom_kernel(fn) -> CohenKernel:
-    """A Cohen kernel whose multiplier is the callable (z1, z2) -> complex."""
-    return CohenKernel(CUSTOM, multiplier_fn=fn)

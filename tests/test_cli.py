@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,13 @@ _SCALING = ["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--
     # checked before the centred axis is built, where inf * 0 would warn
     (["synth", "--kind", "gaussian", "--dx", "inf"], "dx must be positive and finite"),
     (["experiment", "ghost", "--dx", "inf"], "dx must be positive and finite"),
+    # a non-finite point used to print (nan+nanj) and exit 0
+    (["oracle", "--which", "fourier-plain", "--lam", "1", "--w", "inf"], "--w: must be finite"),
+    (["oracle", "--which", "wigner", "--lam", "1", "--x", "nan"], "--x: must be finite"),
+    # an atom far off the window underflows to zeros, which the support
+    # check passed vacuously
+    (["synth", "--kind", "gabor_atom", "--t0", "inf"], "all-zero signal"),
+    (["synth", "--kind", "gabor_atom", "--t0", "1e6"], "all-zero signal"),
 ])
 def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     out = tmp_path / "k.mat"
@@ -437,6 +445,23 @@ def test_truncated_matrix_exits_3(tmp_path, capsys, keep, needle):
     assert _op_on_symbol_bytes(tmp_path, lambda raw: raw[:keep]) == 3
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_symbol_exits_2(tmp_path, capsys, bad):
+    # rejected when the symbol is built, before an FFT could warn or the
+    # output check could blame the result
+    def poison(raw):
+        (hlen,) = struct.unpack("<I", raw[:4])
+        return raw[: 4 + hlen] + struct.pack("<d", bad) + raw[4 + hlen + 8 :]
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _op_on_symbol_bytes(tmp_path, poison) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "symbol values must be finite" in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -4,10 +4,12 @@
 passes; ``cohen``'s lag filter (time FFT, multiplier, inverse) also serves
 ``ghost_energy_report``, which reads region energies of ``cohen``, and
 ``operator_matrix``, which runs it with the conjugate multiplier on the
-Weyl lag kernel of a symbol.  ``symbol_transform`` filters a symbol by
-sinc(z1 z2) with one 2-D FFT pass each way, at the FFT frequencies.  The
-oracles rebuild every result from a direct DFT sum or from symplectic
-transform -> multiplier -> symplectic transform.
+Weyl lag kernel of a symbol.  ``symbol_transform`` runs the same filter
+with sinc(z1 z2) at the FFT frequencies, between an FFT and an inverse FFT
+over w.  The oracles rebuild every result from a direct DFT sum or from
+symplectic transform -> multiplier -> symplectic transform.  Every kernel's
+multiplier is a function of z1 z2, so the filter's own row blocks are
+checked with a plain multiplier callable that is not.
 The diagonal half-lag route of ``wigner`` and ``born_jordan`` is checked
 against the full route, which a copy of the signal selects.  ``cohen`` and
 the engines fill only the lags |m| <= n/4 of the central rows [n/4, 3n/4),
@@ -48,14 +50,13 @@ from tfq import (
     wigner_grid,
 )
 from tfq import distributions
-from tfq.distributions import _lag_filter, _lag_step, _sinc_lattice
+from tfq.distributions import _lag_filter, _lag_step, _lattice_multiplier, _sinc_lattice
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
 from oracles import (
     cohen_full_lag,
     cohen_three_step,
-    custom_kernel,
     dropped_lag_bound,
     symbol_filter_three_step,
     wigner_direct_sum,
@@ -63,17 +64,25 @@ from oracles import (
 
 TOL = 1e-12
 
-# asymmetric in z1 <-> z2 and in the sign of each argument, so a swapped or
-# mirrored argument order of the multiplier shows up at O(1)
-ASYMMETRIC = custom_kernel(
-    lambda z1, z2: np.exp(-0.3 * z1**2 - 0.05 * z2**2 + 0.7j * z1 + 0.2j * z1 * z2)
-)
 KERNELS = {
     "delta": delta_kernel(),
     "bj": born_jordan_kernel(),
     "tau0.3": tau_kernel(0.3),
-    "asymmetric": ASYMMETRIC,
 }
+
+
+def _asymmetric(z1, z2):
+    """A multiplier asymmetric in z1 <-> z2 and in the sign of each
+    argument, so a swapped, mirrored or transposed block of the filter
+    shows up at O(1)."""
+    return np.exp(-0.3 * z1**2 - 0.05 * z2**2 + 0.7j * z1 + 0.2j * z1 * z2)
+
+
+def _asymmetric_rows(dx, lags, n):
+    """``_asymmetric`` on the lattice of ``_lattice_multiplier``, (2 lags dx,
+    k / (n dx)), as the same callable of row blocks."""
+    z1, z2 = 2.0 * dx * lags[None, :], np.fft.fftfreq(n, dx)[:, None]
+    return lambda rows: _asymmetric(z1, z2[rows])
 
 
 def _pair(n, cross):
@@ -102,18 +111,25 @@ def test_cohen_matches_three_step(name, cross, n):
 
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("conj", [False, True])
-@pytest.mark.parametrize("name", list(KERNELS))
+@pytest.mark.parametrize("name", list(KERNELS) + ["asymmetric"])
 def test_ambiguity_filter_matches_three_step(name, conj, n):
     # a full-band random matrix, so the Nyquist rows and columns count
     rng = np.random.default_rng(n)
     grid = symbol_grid_for(_pair(n, False)[0])
     m = TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid, PHASE_SPACE)
-    ref = symbol_filter_three_step(m, KERNELS[name], conj=conj)
     # the symbol-domain filter, plain or conjugate, is the lag filter on the
     # lag kernel (the inverse FFT over w), along time at lag m = fftfreq(n,
-    # 1/n), the Nyquist lag column included
+    # 1/n), the Nyquist lag column included; a kernel's multiplier comes
+    # from the engines' lattice, the asymmetric one is a plain callable
     lags = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    got = _lag_filter(np.fft.ifft(m.values, axis=1), KERNELS[name], grid.dx, lags, conj=conj)
+    if name == "asymmetric":
+        kernel, phi = _asymmetric, _asymmetric_rows(grid.dx, lags, n)
+    else:
+        kernel = KERNELS[name]
+        phi = _lattice_multiplier(kernel, grid.dx, lags, n)
+    ref = symbol_filter_three_step(m, kernel, conj=conj)
+    mult = (lambda rows: np.conj(phi(rows))) if conj else phi
+    got = _lag_filter(np.fft.ifft(m.values, axis=1), mult)
     assert sup_rel_error(got, np.fft.ifft(ref.values, axis=1)) < TOL
 
 
@@ -124,7 +140,7 @@ def test_symbol_side_matches_three_step(n):
     a = Symbol(TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid))
     ref = symbol_filter_three_step(a.matrix, born_jordan_kernel())
     assert sup_rel_error(symbol_transform(a).matrix.values, ref.values) < TOL
-    for rule in (born_jordan_rule(), tau_rule(0.3), ASYMMETRIC):
+    for rule in (born_jordan_rule(), tau_rule(0.3)):
         # Op(a) under a rule is the Weyl operator of the effective symbol
         eff = Symbol(symbol_filter_three_step(a.matrix, rule, conj=True))
         ref = operator_matrix(eff, weyl_rule())
@@ -132,8 +148,10 @@ def test_symbol_side_matches_three_step(n):
 
 
 # criterion 8's grid (2 n dx dw = 2) and one with no simple spacing ratio
-@pytest.mark.parametrize("args", [(32, 0.25, 32, 0.125), (64, 0.3, 64, 0.07)],
-                         ids=["criterion_8", "decimal"])
+OFF_GRIDS = {"criterion_8": (32, 0.25, 32, 0.125), "decimal": (64, 0.3, 64, 0.07)}
+
+
+@pytest.mark.parametrize("args", list(OFF_GRIDS.values()), ids=list(OFF_GRIDS))
 def test_symbol_map_matches_three_step_off_the_operator_grid(args):
     n = args[0]
     rng = np.random.default_rng(n)
@@ -145,12 +163,29 @@ def test_symbol_map_matches_three_step_off_the_operator_grid(args):
     assert sup_rel_error(got.values, ref.values) < TOL
 
 
+@pytest.mark.parametrize("args", [(256, 1 / 16, 256, 1 / 32)] + list(OFF_GRIDS.values()),
+                         ids=["operator"] + list(OFF_GRIDS))
+def test_symbol_map_matches_the_2d_fft_route(args):
+    # the filter between an FFT and an inverse FFT over w against fft2,
+    # sinc(z2 z1) at the FFT frequencies, ifft2, on the operator grid
+    # (dw = 1/(2 n dx)) and off it: only the order of the inverse FFT axes
+    # differs
+    n = args[0]
+    rng = np.random.default_rng(n + 1)
+    grid = PhaseSpaceGrid.centered(*args)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    z1, z2 = np.fft.fftfreq(n, grid.dw), np.fft.fftfreq(n, grid.dx)
+    ref = np.fft.ifft2(np.sinc(z2[:, None] * z1[None, :]) * np.fft.fft2(a))
+    got = symbol_transform(Symbol(TFMatrix(a, grid))).matrix.values
+    assert sup_rel_error(got, ref) <= 1e-14
+
+
 @pytest.mark.parametrize("n", [64, 512])
 def test_ghost_report_matches_three_step(n):
     f = synth(SignalRecipe(kind="two_atoms", n=n, dx=16 / n, params={"dt": 1.0}))
     grid = wigner_grid(f)
     region = interference_region(0.0, 0.0, grid)
-    kernels = [born_jordan_kernel(), tau_kernel(0.3), ASYMMETRIC]
+    kernels = [born_jordan_kernel(), tau_kernel(0.3)]
     in_x = (grid.x_axis >= region.x_lo) & (grid.x_axis <= region.x_hi)
     in_w = (grid.w_axis >= region.w_lo) & (grid.w_axis <= region.w_hi)
 
@@ -198,17 +233,22 @@ def test_lag_filter_sees_only_the_quarter_band(monkeypatch, name, cross):
     # outside the central half, so cohen filters only the band |m| <= n/4:
     # n/2 + 1 columns on the cross route (the diagonal tau included), the
     # n/4 + 1 lags m >= 0 on the diagonal Born-Jordan route
-    seen = []
+    shapes, seen_lags = [], []
 
-    def spy(r, kernel, dx, lags, conj=False, norm="backward"):
-        seen.append((r.shape, lags.copy()))
-        return _lag_filter(r, kernel, dx, lags, conj, norm)
+    def lattice_spy(kernel, dx, lags, n):
+        seen_lags.append(lags.copy())
+        return _lattice_multiplier(kernel, dx, lags, n)
 
-    monkeypatch.setattr(distributions, "_lag_filter", spy)
+    def filter_spy(r, mult, norm="backward"):
+        shapes.append(r.shape)
+        return _lag_filter(r, mult, norm)
+
+    monkeypatch.setattr(distributions, "_lattice_multiplier", lattice_spy)
+    monkeypatch.setattr(distributions, "_lag_filter", filter_spy)
     n = 64
     f = _central_noise(n)
     cohen(f, _copy(f) if cross else None, KERNELS[name])
-    ((shape, lags),) = seen
+    (shape,), (lags,) = shapes, seen_lags
     half = name == "bj" and not cross
     want = np.arange(0 if half else -(n // 4), n // 4 + 1)
     assert shape == (n, len(want))
@@ -247,9 +287,9 @@ def test_band_is_compact_in_the_output(monkeypatch, case):
     name, route = case.split("-")
     seen = []
 
-    def filter_spy(r, *args, **kwargs):
+    def filter_spy(r, mult, norm="backward"):
         seen.append(r)
-        return _lag_filter(r, *args, **kwargs)
+        return _lag_filter(r, mult, norm)
 
     def step_spy(r, band, *args):
         seen.append(band)
@@ -336,8 +376,7 @@ def test_result_dtypes():
                  cohen(f, None, born_jordan_kernel()), cohen(f, f, tau_kernel(0.5))):
         assert real.values.dtype == np.float64
     g = _copy(f)
-    for cplx in (wigner(f, g), born_jordan(f, g), cohen(f, f, tau_kernel(0.3)),
-                 cohen(f, None, ASYMMETRIC)):
+    for cplx in (wigner(f, g), born_jordan(f, g), cohen(f, f, tau_kernel(0.3))):
         assert cplx.values.dtype == np.complex128
     assert TFMatrix(np.ones((64, 64)), wigner_grid(f)).values.dtype == np.float64
 

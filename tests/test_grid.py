@@ -17,6 +17,7 @@ from tfq import (
     dft,
     signal_from_function,
     symplectic_fourier,
+    synth,
 )
 
 from conftest import band_limited_signal, gaussian_signal, sup_rel_error
@@ -247,6 +248,13 @@ def test_phase_space_grid_rejects_non_positive_counts(nx, nw):
 def test_signal_recipe_rejects_unknown_kind():
     with pytest.raises(GenerationError, match="unknown recipe kind"):
         SignalRecipe(kind="mystery", n=64, dx=1 / 16)
+
+
+def test_synth_rejects_all_zero_signal():
+    # the atom underflows to exact zeros on the window, where the support
+    # check has no support to test
+    with pytest.raises(GenerationError, match="all-zero signal"):
+        synth(SignalRecipe(kind="gabor_atom", n=64, dx=1 / 16, params={"t0": 1e6}))
 
 
 def test_signal_rejects_two_dimensional_samples():

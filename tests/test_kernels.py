@@ -27,7 +27,6 @@ from conftest import sup_rel_error
 from oracles import (
     cell_averages_four_corner,
     ci_brute,
-    custom_kernel,
     growth_brute2d,
     vg_theta_brute,
     vg_theta_grid_dyadic,
@@ -94,12 +93,6 @@ def test_tau_conjugate_exponents_against_grid_transform():
     assert np.abs(g_conj - flipped).max() < 1e-9 * np.abs(g_tau).max()
 
 
-def test_custom_kernel_passthrough():
-    k = custom_kernel(lambda z1, z2: np.exp(-(z1**2 + z2**2)))
-    v = ambiguity_multiplier(k, 1.0, 2.0)
-    assert abs(v - np.exp(-5.0)) < 1e-15
-
-
 def test_kernel_validation():
     from tfq.kernels import CohenKernel
 
@@ -107,8 +100,6 @@ def test_kernel_validation():
         tau_kernel(1.5)
     with pytest.raises(DomainError):
         CohenKernel("nonsense")
-    with pytest.raises(DomainError):
-        CohenKernel("custom")
 
 
 # --- the Born-Jordan phase-space kernel -------------------------------------------
