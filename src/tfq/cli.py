@@ -77,21 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     leaf = argparse.ArgumentParser(add_help=False)  # shared by the report commands
     leaf.add_argument("--json", action="store_true")
+    finite = _checked(float, np.isfinite, "finite")
 
     p = sub.add_parser("synth", help="generate a test signal", parents=[leaf])
     p.add_argument("--kind", required=True,
                    choices=KINDS)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--dx", type=float, default=1.0 / 16.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lam", type=float)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--nu0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--dnu", type=float)
-    p.add_argument("--nu1", type=float)
-    p.add_argument("--nu2", type=float)
-    p.add_argument("--rate", type=float)
+    for name in ("--t0", "--nu0", "--dt", "--dnu", "--nu1", "--nu2", "--rate"):
+        p.add_argument(name, type=finite)
     p.add_argument("--path")
     p.add_argument("--output", required=True)
 
@@ -126,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["wigner", "fourier-plain", "fourier-symplectic"])
     p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--x", type=_checked(float, np.isfinite, "finite"), default=0.0)
-    p.add_argument("--w", type=_checked(float, np.isfinite, "finite"), default=0.0)
+    p.add_argument("--x", type=finite, default=0.0)
+    p.add_argument("--w", type=finite, default=0.0)
 
     p = sub.add_parser("experiment", help="scaling and interference experiments")
     esub = p.add_subparsers(dest="experiment", required=True)
@@ -146,11 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pg = esub.add_parser("ghost", parents=[leaf])
     pg.add_argument("--signal", default="two_atoms", choices=["two_atoms"])
-    pg.add_argument("--dt", type=float, default=4.0)
-    pg.add_argument("--dnu", type=float, default=0.0)
+    pg.add_argument("--dt", type=finite, default=4.0)
+    pg.add_argument("--dnu", type=finite, default=0.0)
     pg.add_argument("--n", type=int, default=512)
     pg.add_argument("--dx", type=float, default=1.0 / 16.0)
-    pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--tau", type=float, default=0.0)
     pg.add_argument("--output")
     return top
@@ -162,6 +156,8 @@ _RECIPE_ARGS = ("lam", "t0", "nu0", "dt", "dnu", "nu1", "nu2", "rate", "path")
 def _kernel(name: str, tau):
     """The kernel a CLI method, kind or rule name selects."""
     if name != "tau":
+        if tau is not None:
+            raise TfqError("--tau applies only to the tau kernel")
         return born_jordan_kernel() if name == "bj" else delta_kernel()
     if tau is None:
         raise TfqError("--tau is required for the tau kernel")
@@ -170,9 +166,8 @@ def _kernel(name: str, tau):
 
 def _cmd_synth(args) -> int:
     params = {k: getattr(args, k) for k in _RECIPE_ARGS if getattr(args, k) is not None}
-    recipe = SignalRecipe(kind=args.kind, n=args.n, dx=args.dx, seed=args.seed, params=params)
-    sig = synth(recipe)
-    tfq_io.write_signal(sig, args.output, meta={"kind": args.kind, "seed": args.seed})
+    sig = synth(SignalRecipe(kind=args.kind, n=args.n, dx=args.dx, params=params))
+    tfq_io.write_signal(sig, args.output, meta={"kind": args.kind})
     _emit(_report("synth", output=args.output),
           args.json, [f"wrote {args.output} ({sig.n} samples)"])
     return 0
@@ -181,12 +176,13 @@ def _cmd_synth(args) -> int:
 def _cmd_transform(args) -> int:
     if args.method == "stft" and args.cross:
         raise TfqError("--cross needs a Cohen-class method (wigner, tau or bj), not stft")
+    kernel = _kernel(args.method, args.tau)  # stft takes no kernel, and so no --tau
     f = tfq_io.read_signal(args.input)
     g = tfq_io.read_signal(args.cross) if args.cross else None
     if args.method == "stft":
         out = stft(f, StftSpec(window=canonical_window(f)))
     else:
-        out = cohen(f, g, _kernel(args.method, args.tau))
+        out = cohen(f, g, kernel)
     tfq_io.write_matrix(out, args.output)
     _emit(_report("transform", output=args.output),
           args.json, [f"wrote {args.output} ({out.grid.nx} x {out.grid.nw})"])
@@ -205,15 +201,14 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_norm(args) -> int:
     f = tfq_io.read_signal(args.input)
-    spec = MixedNormSpec(args.p, args.q,
-                         FREQUENCY_INNER if args.amalgam else POSITION_INNER)
+    spec = MixedNormSpec(args.p, args.q)
     value = amalgam_norm(f, spec) if args.amalgam else modulation_norm(f, spec)
     report = _report(
         "norm",
         value=value,
         p=_exp_out(args.p),
         q=_exp_out(args.q),
-        nesting=spec.order,
+        nesting=FREQUENCY_INNER if args.amalgam else POSITION_INNER,
         input=args.input,
     )
     _emit(report, args.json, [f"{value!r}"])
@@ -269,9 +264,8 @@ def _cmd_experiment(args) -> int:
         lines = [f"exponent {fit.exponent:+.6f} +- {fit.stderr:.6f} "
                  f"({fit.points} points)"]
     else:
-        recipe = SignalRecipe(kind="two_atoms", n=args.n, dx=args.dx, seed=args.seed,
-                              params={"dt": args.dt, "dnu": args.dnu})
-        f = synth(recipe)
+        f = synth(SignalRecipe(kind="two_atoms", n=args.n, dx=args.dx,
+                               params={"dt": args.dt, "dnu": args.dnu}))
         region = interference_region(0.0, 0.0, wigner_grid(f))
         rows = ghost_energy_report(
             f, [born_jordan_kernel(), tau_kernel(args.tau)], region

@@ -9,19 +9,18 @@ The two nestings of the grid L^{p,q} norm:
 
 Infinite exponents replace the corresponding power sum with a maximum (no
 measure factor).  One reducer serves every norm: ``mixed_norm`` hands it a
-dense matrix as one block; ``modulation_norm`` and ``amalgam_norm`` stream
-|V_g f| to it in row blocks of ``_BLOCK`` window shifts, magnitude only,
-with ``rfft`` and mirror weights 1, 2, ..., 2, 1 on the frequency bins when
-f is real (the Gaussian window always is), so their memory is O(block n),
-not n^2.  The dense ``stft`` stays the reference route.  The dilation
-experiments fit log-norm against log-dilation over a sweep and report the
+dense matrix as one block; ``modulation_norm`` (position inner, M^{p,q})
+and ``amalgam_norm`` (frequency inner, W(FL^p, L^q)) stream |V_g f| to it
+in row blocks of ``_BLOCK`` window shifts, magnitude only, with ``rfft``
+and mirror weights 1, 2, ..., 2, 1 on the frequency bins when f is real
+(the Gaussian window always is), so their memory is O(block n), not n^2.
+The dense ``stft`` stays the reference route.  The dilation experiments
+fit log-norm against log-dilation over a sweep and report the
 least-squares slope with its standard error.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,24 +41,21 @@ FREQUENCY_INNER = "frequency_inner"
 class MixedNormSpec:
     p: float
     q: float
-    order: str = POSITION_INNER
 
     def __post_init__(self):
         for e in (self.p, self.q):
             if not (e >= 1.0):
                 raise DomainError("exponents must lie in [1, inf]")
-        if self.order not in (POSITION_INNER, FREQUENCY_INNER):
-            raise DomainError(f"unknown nesting {self.order!r}")
 
 
-def _reduce(blocks, weights, spec: MixedNormSpec, dx: float, dw: float) -> float:
+def _reduce(blocks, weights, spec: MixedNormSpec, order: str, dx: float, dw: float) -> float:
     """Grid L^{p,q} norm of a magnitude matrix given as row blocks (rows on
     the position axis, columns on the frequency axis); column k counts
     ``weights[k]`` times, or ``weights`` times if it is a scalar.  Every sum is an ``np.sum``, so a result depends
     on the blocks alone, not on the BLAS thread count."""
     p, q = spec.p, spec.q
     acc = 0.0
-    if spec.order == POSITION_INNER:
+    if order == POSITION_INNER:
         for mags in blocks:
             if np.isinf(p):
                 acc = np.maximum(acc, mags.max(axis=0))
@@ -78,10 +74,12 @@ def _reduce(blocks, weights, spec: MixedNormSpec, dx: float, dw: float) -> float
     return float(acc) if np.isinf(q) else float((acc * dx) ** (1.0 / q))
 
 
-def mixed_norm(m: TFMatrix, spec: MixedNormSpec) -> float:
-    """Grid L^{p,q} norm of a matrix with the nesting chosen by the spec."""
+def mixed_norm(m: TFMatrix, spec: MixedNormSpec, order: str = POSITION_INNER) -> float:
+    """Grid L^{p,q} norm of a matrix with the given nesting."""
+    if order not in (POSITION_INNER, FREQUENCY_INNER):
+        raise DomainError(f"unknown nesting {order!r}")
     g = m.grid
-    return _reduce([np.abs(m.values)], 1.0, spec, g.dx, g.dw)
+    return _reduce([np.abs(m.values)], 1.0, spec, order, g.dx, g.dw)
 
 
 def canonical_window(f: SampledSignal) -> SampledSignal:
@@ -113,8 +111,7 @@ def _stft_norm(f: SampledSignal, spec: MixedNormSpec, order: str) -> float:
         weights[[0, -1]] = 1.0
     rows = sliding_window_view(np.tile(gs, 2), n)[:n]  # rows[s, j] = gs[(s + j) % n]
     blocks = (np.abs(fft(rows[s : s + _BLOCK] * fs, axis=1)) for s in range(0, n, _BLOCK))
-    spec = MixedNormSpec(spec.p, spec.q, order)
-    return dx * _reduce(blocks, weights, spec, dx, 1.0 / (n * dx))
+    return dx * _reduce(blocks, weights, spec, order, dx, 1.0 / (n * dx))
 
 
 def modulation_norm(f: SampledSignal, spec: MixedNormSpec) -> float:
@@ -230,16 +227,7 @@ def scaling_table(
     family: str, spec: MixedNormSpec, lam_grid: Iterable[float]
 ) -> list[tuple[float, float]]:
     lams = [float(l) for l in lam_grid]
-    text = os.environ.get("TFQ_THREADS", "1")
-    if not text.strip().isdigit():
-        raise DomainError(f"TFQ_THREADS must be a non-negative integer, got {text!r}")
-    workers = int(text)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = list(pool.map(lambda l: scaling_norm(family, spec, l), lams))
-    else:
-        norms = [scaling_norm(family, spec, l) for l in lams]
-    return list(zip(lams, norms))
+    return [(l, scaling_norm(family, spec, l)) for l in lams]
 
 
 def scaling_experiment(

@@ -19,7 +19,6 @@ class SignalRecipe:
     kind: str
     n: int = 1024
     dx: float = 1.0 / 16.0
-    seed: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -32,11 +31,17 @@ def gabor_atom(x, t0: float, nu0: float, lam: float = 1.0):
     return (2.0 * lam) ** 0.25 * gaussian(x - t0, lam) * np.exp(2j * np.pi * nu0 * x)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synth(recipe: SignalRecipe) -> SampledSignal:
-    """Generate the recipe's signal; deterministic for a fixed seed.
+    """Generate the recipe's signal, a pure function of the recipe.
 
-    Every generated signal is checked against the central-half support
-    condition of the quadratic engines, and must not be all zero.
+    Params read per kind: gaussian ``lam``; gabor_atom ``t0, nu0, lam``;
+    two_atoms ``dt, dnu``; two_tone ``nu1, nu2`` under the envelope
+    e^{-pi x^2 / 16}; chirp ``rate``; from_file ``path``.
+
+    Every signal must be finite, not all zero, and meet the central-half
+    support condition of the quadratic engines; a huge parameter overflows,
+    without a warning, to zeros or NaNs that these checks reject.
     """
     p = recipe.params
     if recipe.kind == "from_file":
@@ -60,8 +65,7 @@ def synth(recipe: SignalRecipe) -> SampledSignal:
         elif recipe.kind == "two_tone":
             nu1 = p.get("nu1", 0.5)
             nu2 = p.get("nu2", 1.5)
-            env = gaussian(x, p.get("env_lam", 1.0 / 16.0))
-            samples = env * (
+            samples = gaussian(x, 1.0 / 16.0) * (
                 np.exp(2j * np.pi * nu1 * x) + np.exp(2j * np.pi * nu2 * x)
             )
         elif recipe.kind == "chirp":

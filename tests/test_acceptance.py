@@ -234,7 +234,7 @@ def test_criterion_6_kernel_analysis():
 
 
 def test_criterion_7_ghost_damping_and_marginals():
-    f = synth(SignalRecipe(kind="two_atoms", n=512, dx=1 / 16, seed=0,
+    f = synth(SignalRecipe(kind="two_atoms", n=512, dx=1 / 16,
                            params={"dt": 4.0, "dnu": 0.0}))
     region = interference_region(0.0, 0.0, wigner_grid(f))
     rows = ghost_energy_report(f, [born_jordan_kernel()], region)

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import stat
 import struct
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfq import io as tfq_io
 from tfq.cli import run
+from tfq.synth import KINDS
 
 
 @pytest.fixture(scope="module")
@@ -363,15 +368,6 @@ def test_matrix_header_missing_key_exits_3(tmp_path, capsys, drop):
     assert drop in err and "Traceback" not in err
 
 
-def test_bad_threads_variable_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("TFQ_THREADS", "x")
-    assert run(["experiment", "scaling", "--family", "gaussian_mod", "--p", "2",
-                "--q", "2", "--lambda-min", "16", "--lambda-max", "64",
-                "--points", "6"]) == 2
-    err = capsys.readouterr().err
-    assert "TFQ_THREADS" in err and "Traceback" not in err
-
-
 _SCALING = ["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--q", "2"]
 
 
@@ -393,10 +389,16 @@ _SCALING = ["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--
     # a non-finite point used to print (nan+nanj) and exit 0
     (["oracle", "--which", "fourier-plain", "--lam", "1", "--w", "inf"], "--w: must be finite"),
     (["oracle", "--which", "wigner", "--lam", "1", "--x", "nan"], "--x: must be finite"),
+    (["synth", "--kind", "gabor_atom", "--t0", "inf"], "--t0: must be finite"),
     # an atom far off the window underflows to zeros, which the support
     # check passed vacuously
-    (["synth", "--kind", "gabor_atom", "--t0", "inf"], "all-zero signal"),
     (["synth", "--kind", "gabor_atom", "--t0", "1e6"], "all-zero signal"),
+    # a non-finite parameter used to warn, then blame the samples
+    (["synth", "--kind", "gabor_atom", "--nu0", "inf"], "--nu0: must be finite"),
+    (["synth", "--kind", "chirp", "--rate", "inf"], "--rate: must be finite"),
+    (["synth", "--kind", "two_tone", "--nu1", "inf"], "--nu1: must be finite"),
+    (["experiment", "ghost", "--dnu", "inf"], "--dnu: must be finite"),
+    (["experiment", "ghost", "--dt", "nan"], "--dt: must be finite"),
 ])
 def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     out = tmp_path / "k.mat"
@@ -484,6 +486,28 @@ def test_tau_method_without_tau_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "--method", "bj", "--tau", "0.3"],
+    ["kernel", "--kind", "delta", "--tau", "nan"],
+    ["op", "--rule", "weyl", "--tau", "0.3"],
+    ["transform", "--method", "stft", "--tau", "0.3"],
+], ids=["transform", "kernel", "op", "stft"])
+def test_tau_off_the_tau_kernel_exits_2(tmp_path, capsys, argv):
+    # --tau used to be dropped silently by every other kernel and by stft
+    sig, sym, out = tmp_path / "f.csv", tmp_path / "w.mat", tmp_path / "out"
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 0
+    assert run(["transform", "--method", "wigner", "--input", str(sig),
+                "--output", str(sym)]) == 0
+    capsys.readouterr()
+    inputs = {"transform": ["--input", str(sig)], "kernel": [],
+              "op": ["--symbol", str(sym), "--input", str(sig)]}[argv[0]]
+    assert run(argv + inputs + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--tau applies only to the tau kernel" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["synth", "transform", "kernel", "op"])
 def test_file_reports_match_schema(tmp_path, capsys, schema, kind):
     sig, sym = tmp_path / "f.csv", tmp_path / "w.mat"
@@ -504,3 +528,32 @@ def test_file_reports_match_schema(tmp_path, capsys, schema, kind):
     schema(report)
     assert list(report)[:2] == ["schema_version", "report"]
     assert report["report"] == kind and report["output"] == str(out)
+
+
+_EXTREME = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_SYNTH_FLOATS = ("--dx", "--lam", "--t0", "--nu0", "--dt", "--dnu", "--nu1", "--nu2", "--rate")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from([k for k in KINDS if k != "from_file"]),
+       values=st.dictionaries(st.sampled_from(_SYNTH_FLOATS), _EXTREME, max_size=3))
+def test_fuzzed_synth_flags_exit_0_or_2(kind, values):
+    # any float on any numeric flag: a signal, or a usage error with a
+    # message, never a traceback, a numpy warning or a stray file
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "s.csv"
+        argv = ["synth", "--kind", kind, "--output", str(out)]
+        argv += [f"{flag}={value!r}" for flag, value in values.items()]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if code:
+            assert not out.exists() and not tfq_io.sidecar_path(out).exists()

@@ -331,7 +331,7 @@ def test_ghost_tau0_golden_number():
     from tfq.synth import SignalRecipe, synth
 
     golden = 1.0601710405525778e-10
-    f = synth(SignalRecipe(kind="two_atoms", n=512, dx=1 / 16, seed=0,
+    f = synth(SignalRecipe(kind="two_atoms", n=512, dx=1 / 16,
                            params={"dt": 4.0, "dnu": 0.0}))
     region = interference_region(0.0, 0.0, wigner_grid(f))
     rows = ghost_energy_report(f, [tau_kernel(0.0)], region)

@@ -41,8 +41,8 @@ def test_conjugate_exponents():
 def test_spec_validation():
     with pytest.raises(DomainError):
         MixedNormSpec(0.5, 2.0)
-    with pytest.raises(DomainError):
-        MixedNormSpec(2.0, 2.0, order="diagonal")
+    with pytest.raises(DomainError, match="unknown nesting"):
+        mixed_norm(single_cell_matrix(1.0), MixedNormSpec(2.0, 2.0), "diagonal")
 
 
 def single_cell_matrix(value, n=16, dx=0.3, dw=0.7):
@@ -63,7 +63,7 @@ def test_single_cell_values():
                 want *= dx ** (1.0 / p)
             if not np.isinf(q):
                 want *= dw ** (1.0 / q)
-            got = mixed_norm(m, MixedNormSpec(p, q, POSITION_INNER))
+            got = mixed_norm(m, MixedNormSpec(p, q), POSITION_INNER)
             assert abs(got - want) < 1e-12 * want
 
 
@@ -91,13 +91,13 @@ def test_homogeneity_and_triangle(rng):
     alpha = -2.5 + 1.25j
     for p in (1.0, 2.0, INF):
         for q in (1.0, 2.0, INF):
+            spec = MixedNormSpec(p, q)
             for order in (POSITION_INNER, FREQUENCY_INNER):
-                spec = MixedNormSpec(p, q, order)
-                na = mixed_norm(a, spec)
-                scaled = mixed_norm(a.with_values(alpha * a.values), spec)
+                na = mixed_norm(a, spec, order)
+                scaled = mixed_norm(a.with_values(alpha * a.values), spec, order)
                 assert abs(scaled - abs(alpha) * na) < 1e-12 * scaled
-                nsum = mixed_norm(a.with_values(a.values + b.values), spec)
-                assert nsum <= na + mixed_norm(b, spec) + 1e-12
+                nsum = mixed_norm(a.with_values(a.values + b.values), spec, order)
+                assert nsum <= na + mixed_norm(b, spec, order) + 1e-12
 
 
 def test_modulation_norm_gaussian_moyal():
@@ -180,7 +180,7 @@ def test_streamed_norms_match_dense_stft(kind, n):
         for q in exps:
             for norm, order in ((modulation_norm, POSITION_INNER),
                                 (amalgam_norm, FREQUENCY_INNER)):
-                want = mixed_norm(v, MixedNormSpec(p, q, order))
+                want = mixed_norm(v, MixedNormSpec(p, q), order)
                 got = norm(f, MixedNormSpec(p, q))
                 assert abs(got - want) <= 1e-13 * want, (p, q, order)
 
@@ -254,17 +254,6 @@ def test_sweep_signal_rejects_under_resolved_dilation(monkeypatch):
 def test_unknown_family_rejected():
     with pytest.raises(DomainError):
         scaling_norm("mystery", MixedNormSpec(2.0, 2.0), 4.0)
-
-
-def test_threads_env_gives_same_table(monkeypatch):
-    from tfq.norms import scaling_table
-
-    lams = np.geomspace(16.0, 64.0, 6)
-    spec = MixedNormSpec(2.0, 2.0)
-    seq = scaling_table("gaussian_mod", spec, lams)
-    monkeypatch.setenv("TFQ_THREADS", "4")
-    par = scaling_table("gaussian_mod", spec, lams)
-    assert seq == par
 
 
 def test_ghost_region_outside_grid(rng):
