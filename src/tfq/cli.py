@@ -225,12 +225,15 @@ def _cmd_op(args) -> int:
     return 0
 
 
+@np.errstate(all="ignore")  # a value that over- or underflows to NaN exits 2 below
 def _cmd_oracle(args) -> int:
     if args.which == "wigner":
         value = complex(wigner_gaussian(args.lam, args.x, args.w))
     else:
         variant = "plain" if args.which == "fourier-plain" else "symplectic"
         value = complex(fourier_wigner_gaussian(args.lam, args.x, args.w, variant))
+    if not np.isfinite(value):
+        raise TfqError(f"the {args.which} oracle is not finite there, got {value!r}")
     report = _report(
         "oracle",
         which=args.which,
@@ -316,7 +319,7 @@ def run(argv) -> int:
     except (OSError, ValueError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except TfqError as exc:
+    except (TfqError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

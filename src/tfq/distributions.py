@@ -15,24 +15,23 @@ A product f[i + m] conj(g[i - m]) pairs two samples 2|m| apart, and the
 central half [n/4, 3n/4) holds no two samples n/2 or more apart, so every
 lag |m| >= n/4 pairs a sample below the support floor with another; on a
 row i outside [n/4, 3n/4), i + m and i - m are never both central.  The
-engines write only the central rows x the band |m| <= n/4 of a zero-filled
-buffer (across, the first n (n/2 + 1) entries of the n x n output).
-``wigner`` runs its lag FFT on the central rows alone and leaves the outer
-rows exactly 0; ``cohen`` runs ``_lag_filter`` (time FFT, multiplier,
-inverse time FFT) on the band's n rows, since the filter spreads rows,
-then the lag FFT on all n rows, as operator matrices do on their whole lag
-kernel.  Summed over every entry instead, W(f, g), or a Cohen distribution
-whose multiplier has |Phi| <= 1, would differ by at most
-B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the correlation
-restricted to the entries not written.  Operator matrices and the symbol
-map in ``operators`` run ``_lag_filter`` too, each with its multiplier.
+engines write only the central rows x the band |m| <= n/4, into a band
+that lives in the zero-filled n x n output's own bytes from the first
+output row the lag step writes.  ``wigner`` lag-transforms the central
+rows alone and never writes the outer rows; ``cohen`` runs ``_lag_filter``
+(time FFT, multiplier, inverse time FFT) on the band's n rows, since the
+filter spreads rows, then the lag FFT on all n rows, as operator matrices
+do on their whole lag kernel.  Summed over every entry instead, W(f, g),
+or a Cohen distribution whose multiplier has |Phi| <= 1, would differ by
+at most B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the
+correlation restricted to the entries not written.  Operator matrices and
+the symbol map in ``operators`` run ``_lag_filter`` too.
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
-symmetry (it is real and even), so ``wigner`` and ``born_jordan`` store
-only the n/2 + 1 lags m >= 0, fill the n/4 + 1 lags of the band and finish
-with one real inverse FFT per row (``wigner`` per central row): half the
-lag work and a float64 result.
+symmetry (it is real and even), so ``wigner`` and ``born_jordan`` fill
+only the n/4 + 1 lags m = 0..n/4 and finish each row with a real inverse
+FFT into a float64 output: half the lag work, half the memory.
 On the engines' lattice the product z1 z2 is exactly 2 k m / n for integer
 time frequency k and lag m, so the Born-Jordan multiplier sinc(z1 z2) is
 read from a sine table instead of evaluated from rounded products.
@@ -105,23 +104,19 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=-n * dw / 2.0, dw=dw)
 
 
-def _central(n: int) -> slice:
-    """The rows [n/4, 3n/4) of the central half-window."""
-    return slice(n // 4, 3 * n // 4)
-
-
-def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half=False):
-    """scale (-1)^m f[i + m] conj(g[i - m]) at row i and lag m, on the
-    central rows [n/4, 3n/4) of a zero-filled buffer: the buffer and the
-    n-row view of its band of lags |m| <= n/4, lag m at column m + n/4, or
-    with ``half`` at column m of an n x (n/2 + 1) buffer (lags 0..n/2).
-    Across, the band is the first n (n/2 + 1) entries of the n x n buffer,
-    C-contiguous, so its column FFTs run at an odd row stride.  Every other
-    entry pairs a sample below the support floor with another (see the
-    module docstring), the band's edge lags +-n/4 too.  The lag sign
-    i^(i + m) i^-(i - m) and ``scale`` ride on the signals, so the written
-    entries are the product of two sliding windows over the zero-padded
-    signals."""
+def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half: bool,
+                 rows=slice(None)):
+    """The zero-filled n x n output, float64 with ``half``, complex128
+    otherwise, and its band: scale (-1)^m f[i + m] conj(g[i - m]) on the
+    central rows [n/4, 3n/4), lag m at column m + n/4 for |m| <= n/4, or
+    with ``half`` at column m for m = 0..n/4.  The band is a C-contiguous
+    complex view of the output's bytes at an odd row stride, holding the
+    output ``rows`` (all n, or ``wigner``'s central n/2) from the first of
+    them.  Every other entry pairs a sample below the support floor with
+    another (see the module docstring), the band's edge lags +-n/4 too.
+    The lag sign i^(i + m) i^-(i - m) and ``scale`` ride on the signals, so
+    the written entries are the product of two sliding windows over the
+    zero-padded signals."""
     if g is None:
         g = f
     if not f.same_grid(g):
@@ -135,45 +130,45 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half=F
     pad = np.zeros(n // 2, dtype=complex)
     fp = np.concatenate([pad, f.samples * quarter * scale, pad])
     gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
-    rows = slice(n // 2 + m0, 3 * n // 2 + m0)  # window of row i: i + m0 + n/2
-    central = _central(n)
+    window = slice(n // 2 + m0, 3 * n // 2 + m0)  # window of row i: i + m0 + n/2
+    lo, hi, _ = rows.indices(n)
     # allocated after the small arrays above (before them, it left the heap
     # 3 MB larger over a run of born_jordan_direct calls at n = 256); fresh
     # pages come zeroed from the system, so np.zeros clears a large buffer
     # for free, and pages never written take no memory (exactly n^2 across:
     # n + 4 columns raised the benchmark's peak RSS by 15 MB)
-    r = np.zeros((n, n // 2 + 1 if half else n), dtype=complex)
-    band = r[:, :count] if half else r.reshape(-1)[: n * count].reshape(n, count)
-    np.multiply(sliding_window_view(fp, count)[rows][central],
-                sliding_window_view(gp, count)[rows][::-1][central], out=band[central])
-    return r, band
+    out = np.zeros((n, n), dtype=float if half else complex)
+    band = out[lo:].reshape(-1).view(complex)[: (hi - lo) * count].reshape(hi - lo, count)
+    central = slice(n // 4, 3 * n // 4)
+    np.multiply(sliding_window_view(fp, count)[window][central],
+                sliding_window_view(gp, count)[window][::-1][central],
+                out=band[n // 4 - lo : 3 * n // 4 - lo])
+    return out, band
 
 
-def _lag_step(r: np.ndarray, band: np.ndarray, half=False, rows=slice(None)) -> np.ndarray:
-    """Lag FFT of the ``rows`` of ``_correlation``'s band, the other rows of
-    ``r`` zero.  Across, bottom up, each block of band rows goes to a zero
-    row buffer, lag m at column m mod n, and its FFT into the same rows of
-    ``r``: output row a starts at a n >= a (n/2 + 1), past every band row
-    not yet read.  With ``half``, on the n/2 + 1 lags m >= 0 of a Hermitian
-    correlation, a real inverse FFT of the conjugate into a new zero-filled
-    float64 array (sum_m r[m] e^{-2 pi i m k / n} is real there, so it
-    equals its conjugate, n times the inverse real FFT of conj(r))."""
-    n = len(r)
-    if half:
-        part = np.conj(r[rows], out=r[rows])
-        out = np.zeros((n, n))
-        np.fft.irfft(part, n, axis=1, norm="forward", out=out[rows])
-        return out
-    lo, hi, _ = rows.indices(n)
-    q, step = n // 4, 16  # step: rows per FFT block
+def _lag_step(out: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Lag FFT of ``_correlation``'s band into the len(band) central rows
+    of ``out`` it holds.  Bottom up, each block of band rows goes to a zero
+    row buffer, lag m at column m mod n, and its transform into the same
+    output rows; output row lo + a starts a output rows past the band, band
+    row a - 1 ends a band rows (each at most 3/4 of an output row) past it.
+    Across, an FFT; on a float64 ``out`` (lags m >= 0 of a Hermitian
+    correlation, padded to n/2 + 1), a real inverse FFT of the conjugate:
+    sum_m r[m] e^{-2 pi i m k / n} is real, so it is n irfft(conj(r))."""
+    n, rows = len(out), len(band)
+    lo, q, step = (n - rows) // 2, n // 4, 16  # step: rows per FFT block
     buf = np.zeros((step, n), dtype=complex)
-    for b in range(hi, lo, -step):
-        a = max(lo, b - step)
-        buf[: b - a, : q + 1] = band[a:b, q:]
-        buf[: b - a, n - q :] = band[a:b, :q]
-        np.fft.fft(buf[: b - a], axis=1, out=r[a:b])
-    r.reshape(-1)[lo * band.shape[1] : lo * n] = 0.0  # band rows left above row lo
-    return r
+    for b in range(rows, 0, -step):
+        a = max(0, b - step)
+        if out.dtype == complex:
+            buf[: b - a, : q + 1] = band[a:b, q:]
+            buf[: b - a, n - q :] = band[a:b, :q]
+            np.fft.fft(buf[: b - a], axis=1, out=out[lo + a : lo + b])
+        else:
+            np.conj(band[a:b], out=buf[: b - a, : q + 1])
+            np.fft.irfft(buf[: b - a, : n // 2 + 1], n, axis=1, norm="forward",
+                         out=out[lo + a : lo + b])
+    return out
 
 
 def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -219,14 +214,13 @@ def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
 
     Sesquilinear with the conjugate on g; real-valued on the diagonal.
     Only the lags |m| <= n/4 of the central rows [n/4, 3n/4) of 2 dx f by
-    g are built, across in the output's own memory, and lag-transformed;
+    g are built, in the output's own memory, and lag-transformed;
     the outer rows are exactly 0.  With g omitted or ``g is f`` only
     m = 0..n/4, and float64 values, otherwise complex128.  Raises
     AliasingError when either support leaks outside the central half-window.
     """
-    half = g is None or g is f
-    r, band = _correlation(f, g, 2.0 * f.dx, half)
-    return TFMatrix(_lag_step(r, band, half, _central(f.n)), wigner_grid(f), PHASE_SPACE)
+    out, band = _correlation(f, g, 2.0 * f.dx, g is None or g is f, slice(f.n // 4, 3 * f.n // 4))
+    return TFMatrix(_lag_step(out, band), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
@@ -235,7 +229,7 @@ def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFM
     (lag 2 m dx, time frequency) on the band |m| <= n/4, filled on the
     central rows only (the entries the support guard leaves nonzero) with
     2 dx / n on f, so neither the inverse time FFT nor the lag FFT scales;
-    across, the band lies in the output's own memory.  Kernels whose
+    the band lies in the output's own memory.  Kernels whose
     multiplier is exactly one (delta, tau = 1/2) give ``wigner`` itself.
     Born-Jordan's sinc(z1 z2) comes from a sine table on either route; on
     the diagonal (g omitted or ``g is f``) it runs on the lags m = 0..n/4
@@ -243,10 +237,10 @@ def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFM
     if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
         return wigner(f, g)
     half = kernel.kind == BORN_JORDAN and (g is None or g is f)
-    r, band = _correlation(f, g, 2.0 * f.dx / f.n, half)
+    out, band = _correlation(f, g, 2.0 * f.dx / f.n, half)
     lags = np.arange(band.shape[1]) - (0 if half else f.n // 4)
     _lag_filter(band, _lattice_multiplier(kernel, f.dx, lags, f.n), "forward")
-    return TFMatrix(_lag_step(r, band, half), wigner_grid(f), PHASE_SPACE)
+    return TFMatrix(_lag_step(out, band), wigner_grid(f), PHASE_SPACE)
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
@@ -268,10 +262,9 @@ def born_jordan_direct(f: SampledSignal, g: SampledSignal | None = None) -> TFMa
     n, dx, dw = grid.nx, grid.dx, grid.dw
     off_x = dx * np.arange(-(n - 1), n)
     off_w = dw * np.arange(-(n - 1), n)
-    size = 1 << int(np.ceil(np.log2(2 * n)))
 
     def padded_spectrum(block):
-        buf = np.zeros((size, size), dtype=complex)
+        buf = np.zeros((2 * n, 2 * n), dtype=complex)  # 2n: n is a power of two
         buf[: block.shape[0], : block.shape[1]] = block
         return np.fft.fftn(buf, axes=(0, 1), out=buf)
 

@@ -19,9 +19,9 @@ from .errors import DomainError
 
 
 def _check_dilation(lam: float) -> None:
-    """Reject a dilation outside 0 < lam < inf (NaN included)."""
-    if not 0.0 < lam < np.inf:
-        raise DomainError(f"dilation must be positive and finite, got {lam!r}")
+    """Reject a dilation unless 0 < pi lam < inf (NaN included)."""
+    if not 0.0 < np.pi * float(lam) < np.inf:  # float: no overflow warning
+        raise DomainError(f"dilation must be positive with pi * lam finite, got {lam!r}")
 
 
 def gaussian(x, lam: float = 1.0):

@@ -289,6 +289,7 @@ def ghost_energy_report(
     if not in_x.any() or not in_w.any():
         raise DomainError("interference region lies outside the grid")
 
+    @np.errstate(over="ignore")  # an overflow to inf is rejected below
     def region_energy(k: CohenKernel) -> float:
         block = cohen(f, f, k).values[np.ix_(in_x, in_w)]
         return float(np.sum(np.abs(block) ** 2) * g.cell_measure)
@@ -297,4 +298,6 @@ def ghost_energy_report(
     energies = [region_energy(k) for k in ks]
     if energies[0] == 0.0:
         raise DomainError("reference distribution carries no region energy")
+    if not np.isfinite(energies).all():
+        raise DomainError("a region energy overflows: rescale the signal or the grid")
     return [GhostReport(k.label, e, e / energies[0]) for k, e in zip(ks, energies)]

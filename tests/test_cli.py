@@ -399,6 +399,20 @@ _SCALING = ["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--
     (["synth", "--kind", "two_tone", "--nu1", "inf"], "--nu1: must be finite"),
     (["experiment", "ghost", "--dnu", "inf"], "--dnu: must be finite"),
     (["experiment", "ghost", "--dt", "nan"], "--dt: must be finite"),
+    # pi lam overflows above 5.7e307; these printed a numpy warning and
+    # (nan+nanj), or NaN in the JSON report, and exited 0
+    (["oracle", "--which", "wigner", "--lam", "1e308", "--x", "1", "--w", "1"], "dilation"),
+    (["oracle", "--which", "fourier-plain", "--lam", "5e-324", "--x", "1e300", "--w", "1e300"],
+     "oracle is not finite"),
+    (["oracle", "--which", "fourier-symplectic", "--lam", "1e308", "--x", "1e200", "--w", "1e200",
+      "--json"], "dilation"),
+    (["oracle", "--which", "fourier-symplectic", "--lam", "1e300", "--x", "1e200", "--w", "1e200",
+      "--json"], "oracle is not finite"),
+    # inf * 0 at x = 0 made a NaN sample, blamed on the samples
+    (["synth", "--kind", "gaussian", "--lam", "1e308"], "dilation must be positive with pi"),
+    (["synth", "--kind", "gabor_atom", "--lam", "1e308"], "dilation must be positive with pi"),
+    # printed an overflow warning and energy=inf ratio=nan
+    (["experiment", "ghost", "--dx", "1e300"], "region energy overflows"),
 ])
 def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     out = tmp_path / "k.mat"
@@ -530,11 +544,68 @@ def test_file_reports_match_schema(tmp_path, capsys, schema, kind):
     assert report["report"] == kind and report["output"] == str(out)
 
 
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    # a size numpy cannot allocate (tfq kernel --n 1000000); raised by a
+    # stand-in handler, since a real huge array may be granted by an
+    # overcommitting host and the process killed when its pages are touched
+    from tfq import cli
+
+    def too_large(args):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000000, 1000000) and data type complex128")
+
+    monkeypatch.setitem(cli._HANDLERS, "kernel", too_large)
+    out = tmp_path / "k.mat"
+    assert run(["kernel", "--kind", "bj", "--n", "1000000", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate 14.6 TiB")
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
 _EXTREME = st.one_of(
-    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0]),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 1e300, 1e-300, 5e-324, -5e-324, 0.0]),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
 _SYNTH_FLOATS = ("--dx", "--lam", "--t0", "--nu0", "--dt", "--dnu", "--nu1", "--nu2", "--rate")
+
+
+def _all_finite(value):
+    """Every number in a parsed ``--json`` report is finite."""
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+def _fuzzed_run(argv, output=None, codes=(0, 2, 3, 4)):
+    """Run the CLI on fuzzed flags: a documented exit code, no traceback or
+    numpy warning on stderr, no output file or stdout after a failure, and
+    only finite numbers in the report and the output file after exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
+        code = run(argv)
+    err = err.getvalue()
+    assert code in codes, (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code:
+        assert err.startswith(("error:", "i/o error:", "accuracy error:", "usage:")), (argv, err)
+        assert output is None or not (output.exists() or tfq_io.sidecar_path(output).exists())
+        assert out.getvalue() == "", (argv, out.getvalue())
+        return
+    if "--json" in argv:
+        assert _all_finite(json.loads(out.getvalue())), (argv, out.getvalue())
+    if output is not None and output.suffix == ".mat":
+        assert np.isfinite(tfq_io.read_matrix(output).values).all(), argv
+    elif output is not None and output.suffix == ".csv":
+        assert np.isfinite(tfq_io.read_signal(output).samples).all(), argv
+
+
+def _flags(values):
+    return [f"{flag}={value!r}" for flag, value in values.items()]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -545,15 +616,68 @@ def test_fuzzed_synth_flags_exit_0_or_2(kind, values):
     # message, never a traceback, a numpy warning or a stray file
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "s.csv"
-        argv = ["synth", "--kind", kind, "--output", str(out)]
-        argv += [f"{flag}={value!r}" for flag, value in values.items()]
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = run(argv)
-        assert code in (0, 2), (argv, err.getvalue())
-        assert not caught, (argv, [str(w.message) for w in caught])
-        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
-        if code:
-            assert not out.exists() and not tfq_io.sidecar_path(out).exists()
+        _fuzzed_run(["synth", "--kind", kind, "--output", str(out)] + _flags(values),
+                    out, codes=(0, 2))
+
+
+# small sizes only: a huge --n would allocate for real (on a host that
+# overcommits, the process is killed once the pages are touched)
+_SIZES = st.sampled_from([-8, 0, 3, 8, 12, 64, 256, 1024])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(which=st.sampled_from(["wigner", "fourier-plain", "fourier-symplectic"]),
+       lam=_EXTREME,
+       point=st.dictionaries(st.sampled_from(("--x", "--w")), _EXTREME, max_size=2))
+def test_fuzzed_oracle_flags(which, lam, point):
+    _fuzzed_run(["oracle", "--which", which, f"--lam={lam!r}", "--json"] + _flags(point))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(("--dt", "--dnu", "--dx", "--tau")), _EXTREME,
+                              max_size=3),
+       n=st.one_of(st.none(), _SIZES))
+def test_fuzzed_ghost_flags(values, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "ghost.json"
+        argv = ["experiment", "ghost", "--json", "--output", str(out)] + _flags(values)
+        _fuzzed_run(argv + ([] if n is None else [f"--n={n}"]), out)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["bj", "tau", "delta"]),
+       values=st.dictionaries(st.sampled_from(("--tau", "--dx")), _EXTREME, max_size=2),
+       n=st.one_of(st.none(), _SIZES))
+def test_fuzzed_kernel_flags(kind, values, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "k.mat"
+        argv = ["kernel", "--kind", kind, "--n", str(64 if n is None else n),
+                "--output", str(out), "--json"]
+        _fuzzed_run(argv + _flags(values), out)
+
+
+@pytest.fixture(scope="module")
+def signal_and_symbol(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    sig, sym = tmp / "f.csv", tmp / "w.mat"
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 0
+    assert run(["transform", "--method", "wigner", "--input", str(sig),
+                "--output", str(sym)]) == 0
+    return sig, sym
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(command=st.sampled_from(["transform", "op"]),
+       method=st.sampled_from(["tau", "bj", "wigner", "weyl", "stft"]),
+       tau=st.one_of(_EXTREME, st.floats(0.0, 1.0)))
+def test_fuzzed_tau_on_transform_and_op(signal_and_symbol, command, method, tau):
+    sig, sym = signal_and_symbol
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "transform":
+            out = Path(tmp) / "t.mat"
+            argv = ["transform", "--method", method, "--input", str(sig)]
+        else:
+            out = Path(tmp) / "o.csv"
+            argv = ["op", "--rule", method, "--symbol", str(sym), "--input", str(sig)]
+        _fuzzed_run(argv + [f"--tau={tau!r}", "--output", str(out), "--json"], out)

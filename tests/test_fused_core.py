@@ -15,8 +15,9 @@ against the full route, which a copy of the signal selects.  ``cohen`` and
 the engines fill only the lags |m| <= n/4 of the central rows [n/4, 3n/4),
 and ``wigner`` lag-transforms only those rows; signals with tails just
 below the support floor check that against oracles that sum every entry,
-within a provable bound on what the other entries carry.  Across, the band
-is a compact array in the output's own memory, checked by spies.
+within a provable bound on what the other entries carry.  On both routes
+the band is a compact array in the output's own memory, starting at the
+first output row the lag step writes, checked by spies.
 """
 
 import tracemalloc
@@ -263,9 +264,9 @@ def test_lag_step_sees_only_the_central_rows(monkeypatch, cross):
     # FFT runs on all n
     seen = []
 
-    def spy(r, band, half=False, rows=slice(None)):
-        seen.append(len(r[rows]))
-        return _lag_step(r, band, half, rows)
+    def spy(out, band):
+        seen.append(len(band))
+        return _lag_step(out, band)
 
     monkeypatch.setattr(distributions, "_lag_step", spy)
     n = 64
@@ -279,11 +280,15 @@ def test_lag_step_sees_only_the_central_rows(monkeypatch, cross):
     assert seen == [n // 2, n, n]
 
 
-@pytest.mark.parametrize("case", ["bj-cross", "tau0.3-cross", "tau0.3-diag", "wigner-cross"])
+@pytest.mark.parametrize("case", ["bj-cross", "tau0.3-cross", "tau0.3-diag", "wigner-cross",
+                                  "bj-diag", "wigner-diag"])
 def test_band_is_compact_in_the_output(monkeypatch, case):
-    # across, the band |m| <= n/4 is the first n (n/2 + 1) entries of the
-    # n x n output: C-contiguous, so the time FFT runs down its columns at
-    # an odd row stride, and in the result's own memory
+    # the band is a C-contiguous view of the output's own bytes that starts
+    # at the first output row the lag step writes: row n/4 for wigner's n/2
+    # central rows, row 0 for cohen's n; its rows hold the n/2 + 1 lags
+    # |m| <= n/4 across (an odd row stride for the time FFT down its
+    # columns), the n/4 + 1 lags m >= 0 in the float64 output on the
+    # diagonal half route
     name, route = case.split("-")
     seen = []
 
@@ -291,9 +296,9 @@ def test_band_is_compact_in_the_output(monkeypatch, case):
         seen.append(r)
         return _lag_filter(r, mult, norm)
 
-    def step_spy(r, band, *args):
+    def step_spy(out, band):
         seen.append(band)
-        return _lag_step(r, band, *args)
+        return _lag_step(out, band)
 
     if name == "wigner":
         monkeypatch.setattr(distributions, "_lag_step", step_spy)
@@ -303,18 +308,23 @@ def test_band_is_compact_in_the_output(monkeypatch, case):
     f = _central_noise(n)
     g = _copy(f) if route == "cross" else None
     out = wigner(f, g) if name == "wigner" else cohen(f, g, KERNELS[name])
+    half = route == "diag" and name != "tau0.3"
+    count, lo = (n // 4 + 1 if half else n // 2 + 1), (n // 4 if name == "wigner" else 0)
     (band,) = seen
-    assert band.shape == (n, n // 2 + 1)
+    assert out.values.dtype == (np.float64 if half else np.complex128)
+    assert band.dtype == np.complex128
+    assert band.shape == (n - 2 * lo, count)
     assert band.flags.c_contiguous
-    assert band.strides[0] == (n // 2 + 1) * 16
+    assert band.strides[0] == count * 16
     assert np.shares_memory(band, out.values)
+    assert band.ctypes.data == out.values[lo:].ctypes.data
 
 
 @pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
 def test_outer_rows_exactly_zero_at_1024(cross):
-    # across, output rows [n/4, 3n/4) start past the band rows they
-    # overwrite, and the band rows above row n/4 (a 2 MB span at n = 1024)
-    # must be cleared after the lag FFT
+    # wigner's band starts at output row n/4 and lies inside the rows the
+    # lag step overwrites, so the outer rows are never written, on either
+    # route
     n = 1024
     f = _central_noise(n)
     w = wigner(f, _copy(f) if cross else None).values
@@ -421,6 +431,9 @@ def _matrix_call(rule):
     pytest.param(lambda f: lambda g=_copy(f): born_jordan(f, g), 3, id="born_jordan-3"),
     pytest.param(lambda f: lambda: wigner(f), 1.1, id="wigner_diag-1.1"),
     pytest.param(lambda f: lambda: born_jordan(f), 1.1, id="born_jordan_diag-1.1"),
+    # the diagonal routes hold one n x n float64 array, the band in its bytes
+    pytest.param(lambda f: lambda: wigner(f), 0.6, id="wigner_diag-0.6"),
+    pytest.param(lambda f: lambda: born_jordan(f), 0.6, id="born_jordan_diag-0.6"),
     pytest.param(lambda f: lambda g=_copy(f): born_jordan(f, g), 1.08,
                  id="born_jordan_cross-1.08"),
     pytest.param(lambda f: lambda g=_copy(f): cohen(f, g, tau_kernel(0.3)), 1.1,

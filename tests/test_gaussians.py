@@ -46,6 +46,22 @@ def test_domain_errors():
         fourier_wigner_gaussian(1.0, 0.0, 0.0, variant="twisted")
 
 
+@pytest.mark.parametrize("lam", [1e308, np.finfo(float).max])
+def test_dilation_whose_pi_lam_overflows_is_rejected(lam):
+    # pi lam overflows above 5.7e307, and inf * 0 at x = 0 made a NaN
+    # sample; the check names the dilation
+    for call in (lambda: gaussian(0.0, lam), lambda: wigner_gaussian(lam, 0.0, 0.0),
+                 lambda: wigner_gaussian_diag(lam, 0.0, 0.0),
+                 lambda: fourier_wigner_gaussian(lam, 0.0, 0.0, "plain")):
+        with pytest.raises(DomainError, match="dilation must be positive with pi"):
+            call()
+
+
+def test_largest_dilation_with_finite_pi_lam_is_a_spike():
+    x = np.array([-1e-300, 0.0, 1e-300, 1.0])
+    assert np.array_equal(gaussian(x, 5.7e307), [1.0, 1.0, 1.0, 0.0])
+
+
 def test_fourier_center_value():
     assert abs(fourier_wigner_gaussian(3.0, 0.0, 0.0, "symplectic") - 0.5) < 1e-15
 

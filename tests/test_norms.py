@@ -277,6 +277,19 @@ def test_ghost_report_rejects_zero_reference_energy():
         ghost_energy_report(f, [], Rect(-15.0, -13.0, -1.0, 1.0))
 
 
+def test_ghost_report_rejects_overflowing_region_energy():
+    # at dx = 1e300 the distribution, which carries 2 dx, squares past the
+    # float range: a DomainError, where it warned and returned inf and NaN
+    from tfq import born_jordan_kernel, wigner_grid
+    from tfq.norms import ghost_energy_report, interference_region
+    from tfq.synth import SignalRecipe, synth
+
+    f = synth(SignalRecipe(kind="two_atoms", n=512, dx=1e300))
+    region = interference_region(0.0, 0.0, wigner_grid(f))
+    with pytest.raises(DomainError, match="region energy overflows"):
+        ghost_energy_report(f, [born_jordan_kernel()], region)
+
+
 def test_fit_loglog_rejects_repeated_dilations():
     lams = np.geomspace(1, 100, 8)
     vals = lams**-0.5
