@@ -50,7 +50,6 @@ from .kernels import (
     vg_theta_grid,
 )
 from .distributions import (
-    StftSpec,
     born_jordan,
     born_jordan_direct,
     cohen,

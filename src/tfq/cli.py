@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import io as tfq_io
-from .distributions import StftSpec, cohen, stft, wigner_grid
+from .distributions import cohen, stft, wigner_grid
 from .errors import AccuracyError, TfqError
 from .gaussians import fourier_wigner_gaussian, wigner_gaussian
 from .grid import PhaseSpaceGrid, TFMatrix, AMBIGUITY
@@ -37,7 +37,7 @@ from .synth import KINDS, SignalRecipe, synth
 
 
 def _exponent(text: str) -> float:
-    if text in ("inf", "Inf", "INF", "oo"):
+    if text == "oo":  # float reads inf, Inf, INF and infinity itself
         return float("inf")
     return float(text)
 
@@ -57,19 +57,6 @@ def _checked(convert, ok, what: str):
 
 def _exp_out(value: float):
     return "inf" if np.isinf(value) else value
-
-
-def _report(kind: str, **fields) -> dict:
-    """The ``--json`` report envelope: schema version and kind, then fields."""
-    return {"schema_version": "1", "report": kind, **fields}
-
-
-def _emit(report: dict, as_json: bool, lines=None) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    elif lines:
-        for line in lines:
-            print(line)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,69 +151,59 @@ def _kernel(name: str, tau):
     return tau_kernel(tau)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[dict, list]:
     params = {k: getattr(args, k) for k in _RECIPE_ARGS if getattr(args, k) is not None}
     sig = synth(SignalRecipe(kind=args.kind, n=args.n, dx=args.dx, params=params))
     tfq_io.write_signal(sig, args.output, meta={"kind": args.kind})
-    _emit(_report("synth", output=args.output),
-          args.json, [f"wrote {args.output} ({sig.n} samples)"])
-    return 0
+    return {"output": args.output}, [f"wrote {args.output} ({sig.n} samples)"]
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[dict, list]:
     if args.method == "stft" and args.cross:
         raise TfqError("--cross needs a Cohen-class method (wigner, tau or bj), not stft")
     kernel = _kernel(args.method, args.tau)  # stft takes no kernel, and so no --tau
     f = tfq_io.read_signal(args.input)
     g = tfq_io.read_signal(args.cross) if args.cross else None
     if args.method == "stft":
-        out = stft(f, StftSpec(window=canonical_window(f)))
+        out = stft(f, canonical_window(f))
     else:
         out = cohen(f, g, kernel)
     tfq_io.write_matrix(out, args.output)
-    _emit(_report("transform", output=args.output),
-          args.json, [f"wrote {args.output} ({out.grid.nx} x {out.grid.nw})"])
-    return 0
+    return {"output": args.output}, [f"wrote {args.output} ({out.grid.nx} x {out.grid.nw})"]
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> tuple[dict, list]:
     kernel = _kernel(args.kind, args.tau)
     grid = PhaseSpaceGrid.dft_compatible(args.n, args.dx)
     vals = ambiguity_multiplier(kernel, grid.x_axis[:, None], grid.w_axis[None, :])
     tfq_io.write_matrix(TFMatrix(vals, grid, AMBIGUITY), args.output)
-    _emit(_report("kernel", output=args.output),
-          args.json, [f"wrote {args.output} ({kernel.label})"])
-    return 0
+    return {"output": args.output}, [f"wrote {args.output} ({kernel.label})"]
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> tuple[dict, list]:
     f = tfq_io.read_signal(args.input)
     spec = MixedNormSpec(args.p, args.q)
     value = amalgam_norm(f, spec) if args.amalgam else modulation_norm(f, spec)
-    report = _report(
-        "norm",
-        value=value,
-        p=_exp_out(args.p),
-        q=_exp_out(args.q),
-        nesting=FREQUENCY_INNER if args.amalgam else POSITION_INNER,
-        input=args.input,
-    )
-    _emit(report, args.json, [f"{value!r}"])
-    return 0
+    fields = {
+        "value": value,
+        "p": _exp_out(args.p),
+        "q": _exp_out(args.q),
+        "nesting": FREQUENCY_INNER if args.amalgam else POSITION_INNER,
+        "input": args.input,
+    }
+    return fields, [f"{value!r}"]
 
 
-def _cmd_op(args) -> int:
+def _cmd_op(args) -> tuple[dict, list]:
     a = Symbol(tfq_io.read_matrix(args.symbol))
     f = tfq_io.read_signal(args.input)
     out = apply_operator(a, _kernel(args.rule, args.tau), f)
     tfq_io.write_signal(out, args.output)
-    _emit(_report("op", output=args.output),
-          args.json, [f"wrote {args.output}"])
-    return 0
+    return {"output": args.output}, [f"wrote {args.output}"]
 
 
 @np.errstate(all="ignore")  # a value that over- or underflows to NaN exits 2 below
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, list]:
     if args.which == "wigner":
         value = complex(wigner_gaussian(args.lam, args.x, args.w))
     else:
@@ -234,65 +211,56 @@ def _cmd_oracle(args) -> int:
         value = complex(fourier_wigner_gaussian(args.lam, args.x, args.w, variant))
     if not np.isfinite(value):
         raise TfqError(f"the {args.which} oracle is not finite there, got {value!r}")
-    report = _report(
-        "oracle",
-        which=args.which,
-        lam=args.lam,
-        at=[args.x, args.w],
-        re=value.real,
-        im=value.imag,
-    )
-    _emit(report, args.json, [f"{value!r}"])
-    return 0
+    fields = {
+        "which": args.which,
+        "lam": args.lam,
+        "at": [args.x, args.w],
+        "re": value.real,
+        "im": value.imag,
+    }
+    return fields, [f"{value!r}"]
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple[dict, list]:
     if args.experiment == "scaling":
         spec = MixedNormSpec(args.p, args.q)
         lams = np.geomspace(args.lambda_min, args.lambda_max, args.points)
         table = scaling_table(args.family, spec, lams)
         fit = fit_loglog([t[0] for t in table], [t[1] for t in table])
-        report = _report(
-            "scaling",
-            family=args.family,
-            p=_exp_out(args.p),
-            q=_exp_out(args.q),
-            exponent=fit.exponent,
-            stderr=fit.stderr,
-            lambda_min=fit.lam_range[0],
-            lambda_max=fit.lam_range[1],
-            points=fit.points,
-            table=[{"lambda": l, "norm": v} for l, v in table],
-        )
-        lines = [f"exponent {fit.exponent:+.6f} +- {fit.stderr:.6f} "
-                 f"({fit.points} points)"]
-    else:
-        f = synth(SignalRecipe(kind="two_atoms", n=args.n, dx=args.dx,
-                               params={"dt": args.dt, "dnu": args.dnu}))
-        region = interference_region(0.0, 0.0, wigner_grid(f))
-        rows = ghost_energy_report(
-            f, [born_jordan_kernel(), tau_kernel(args.tau)], region
-        )
-        report = _report(
-            "ghost",
-            signal=args.signal,
-            region={"x_lo": region.x_lo, "x_hi": region.x_hi,
-                    "w_lo": region.w_lo, "w_hi": region.w_hi},
-            rows=[
-                {"kernel": r.kernel_label, "energy": r.energy,
-                 "ratio_vs_wigner": r.ratio_vs_wigner}
-                for r in rows
-            ],
-        )
-        lines = [f"{r.kernel_label:12s} energy={r.energy:.6e} "
-                 f"ratio={r.ratio_vs_wigner:.6f}" for r in rows]
-    out_path = getattr(args, "output", None)
-    if out_path:
-        tfq_io._atomic_write(out_path, [json.dumps(report, indent=2).encode()])
-    _emit(report, args.json, lines)
-    return 0
+        fields = {
+            "family": args.family,
+            "p": _exp_out(args.p),
+            "q": _exp_out(args.q),
+            "exponent": fit.exponent,
+            "stderr": fit.stderr,
+            "lambda_min": fit.lam_range[0],
+            "lambda_max": fit.lam_range[1],
+            "points": fit.points,
+            "table": [{"lambda": l, "norm": v} for l, v in table],
+        }
+        return fields, [f"exponent {fit.exponent:+.6f} +- {fit.stderr:.6f} "
+                        f"({fit.points} points)"]
+    f = synth(SignalRecipe(kind="two_atoms", n=args.n, dx=args.dx,
+                           params={"dt": args.dt, "dnu": args.dnu}))
+    region = interference_region(0.0, 0.0, wigner_grid(f))
+    rows = ghost_energy_report(
+        f, [born_jordan_kernel(), tau_kernel(args.tau)], region
+    )
+    fields = {
+        "signal": args.signal,
+        "region": {"x_lo": region.x_lo, "x_hi": region.x_hi,
+                   "w_lo": region.w_lo, "w_hi": region.w_hi},
+        "rows": [
+            {"kernel": r.kernel_label, "energy": r.energy,
+             "ratio_vs_wigner": r.ratio_vs_wigner}
+            for r in rows
+        ],
+    }
+    return fields, [f"{r.kernel_label:12s} energy={r.energy:.6e} "
+                    f"ratio={r.ratio_vs_wigner:.6f}" for r in rows]
 
 
+# each returns its report: the --json fields after the envelope, and the text lines
 _HANDLERS = {
     "synth": _cmd_synth,
     "transform": _cmd_transform,
@@ -305,23 +273,32 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse, dispatch and print the handler's report (an experiment's
+    ``--output`` gets the ``--json`` text); returns the process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        # an overflow or a NaN (a huge sample, say) exits 2 before anything is written
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            fields, lines = _HANDLERS[args.command](args)
+        kind = getattr(args, "experiment", args.command)  # experiments report their own kind
+        text = json.dumps({"schema_version": "1", "report": kind, **fields}, indent=2)
+        if args.command == "experiment" and args.output:
+            tfq_io._atomic_write(args.output, [text.encode()])
     except AccuracyError as exc:
         print(f"accuracy error: {exc} (achieved {exc.achieved:.3e})", file=sys.stderr)
         return 4
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (TfqError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
+    except (TfqError, MemoryError, FloatingPointError) as exc:  # numpy: too large, inf or NaN
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text if args.json else "\n".join(lines))
+    return 0
 
 
 def main() -> None:

@@ -39,8 +39,6 @@ read from a sine table instead of evaluated from rounded products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -57,18 +55,7 @@ from .kernels import (
 )
 
 
-@dataclass(frozen=True)
-class StftSpec:
-    """Dense short-time transform plan: one column per signal sample."""
-
-    window: SampledSignal
-
-    def __post_init__(self):
-        if self.window.energy() <= 0.0:
-            raise WindowError("window energy must be positive")
-
-
-def stft(f: SampledSignal, spec: StftSpec) -> TFMatrix:
+def stft(f: SampledSignal, window: SampledSignal) -> TFMatrix:
     """Dense discrete STFT: one column per signal sample.
 
     Column i holds dx * DFT_y[f(y) conj(window(y - x_i))] on the centered
@@ -76,16 +63,18 @@ def stft(f: SampledSignal, spec: StftSpec) -> TFMatrix:
     central-half support convention keeps wrapped products at zero.  Row i
     of the circulant window is a view into the tiled conjugate window, the
     pre-phase of the centered axis is the sign (-1)^j on f, and the FFT
-    runs in place on the one n x n product.
+    runs in place on the one n x n product.  Raises GridError off the
+    signal's grid and WindowError for a window of zero energy.
     """
-    g = spec.window
-    if not f.same_grid(g):
+    if not f.same_grid(window):
         raise GridError("signal and window must share one grid")
+    if window.energy() <= 0.0:
+        raise WindowError("window energy must be positive")
     n = f.n
     dx = f.dx
     i0 = int(round(-f.x0 / dx)) % n  # index of x = 0 on the axis
-    # rows[s, j] = conj(g)[(s + j) % n]; row i needs s = i0 - i (mod n)
-    rows = sliding_window_view(np.tile(np.conj(g.samples), 3), n)
+    # rows[s, j] = conj(window)[(s + j) % n]; row i needs s = i0 - i (mod n)
+    rows = sliding_window_view(np.tile(np.conj(window.samples), 3), n)
     signed = f.samples.copy()
     signed[1::2] *= -1.0
     vals = rows[i0 + n : i0 : -1] * signed

@@ -34,7 +34,8 @@ def wigner_gaussian(lam: float, x, w):
     """Cross-distribution W(phi, phi_lam)(x, w), dimension one.
 
     (2/sqrt(lam+1)) e^{-4 pi lam x^2/(lam+1)} e^{-4 pi w^2/(lam+1)}
-    e^{-4 pi i (lam-1) x w/(lam+1)}.
+    e^{-4 pi i (lam-1) x w/(lam+1)}, each dilation taken as its ratio to
+    c = lam + 1 (4 pi lam alone may overflow).
     """
     _check_dilation(lam)
     c = lam + 1.0
@@ -42,22 +43,23 @@ def wigner_gaussian(lam: float, x, w):
     w = np.asarray(w, dtype=float)
     return (
         (2.0 / np.sqrt(c))
-        * np.exp(-4 * np.pi * lam * x**2 / c)
+        * np.exp(-4 * np.pi * (lam / c) * x**2)
         * np.exp(-4 * np.pi * w**2 / c)
-        * np.exp(-4j * np.pi * (lam - 1.0) * x * w / c)
+        * np.exp(-4j * np.pi * ((lam - 1.0) / c) * (x * w))
     )
 
 
 def wigner_gaussian_diag(lam: float, x, w):
     """Diagonal W(phi_lam, phi_lam)(x, w) = 2^{1/2} lam^{-1/2}
-    phi(sqrt(2 lam) x) phi(sqrt(2/lam) w)."""
+    phi(sqrt(2 lam) x) phi(sqrt(2/lam) w), with lam x^2 and w^2 / lam
+    formed first (2 pi lam alone may overflow)."""
     _check_dilation(lam)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     return (
         np.sqrt(2.0 / lam)
-        * np.exp(-2 * np.pi * lam * x**2)
-        * np.exp(-2 * np.pi * w**2 / lam)
+        * np.exp(-2 * np.pi * (lam * x**2))
+        * np.exp(-2 * np.pi * (w**2 / lam))
     )
 
 
@@ -69,23 +71,19 @@ def fourier_wigner_gaussian(lam: float, z1, z2, variant: str = "symplectic"):
     symplectic: plain evaluated at J(z1, z2) = (z2, -z1), i.e.
                 (lam+1)^{-1/2} e^{-pi lam z1^2/c} e^{-pi z2^2/c}
                 e^{-pi i (lam-1) z1 z2 / c}
+    Each dilation is taken as its ratio to c = lam + 1.
     """
     _check_dilation(lam)
     c = lam + 1.0
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    if variant == "plain":
-        return (
-            c**-0.5
-            * np.exp(-np.pi * z1**2 / c)
-            * np.exp(-np.pi * lam * z2**2 / c)
-            * np.exp(1j * np.pi * (lam - 1.0) * z1 * z2 / c)
-        )
     if variant == "symplectic":
-        return (
-            c**-0.5
-            * np.exp(-np.pi * lam * z1**2 / c)
-            * np.exp(-np.pi * z2**2 / c)
-            * np.exp(-1j * np.pi * (lam - 1.0) * z1 * z2 / c)
-        )
-    raise DomainError(f"unknown variant {variant!r}")
+        z1, z2 = z2, -z1
+    elif variant != "plain":
+        raise DomainError(f"unknown variant {variant!r}")
+    return (
+        c**-0.5
+        * np.exp(-np.pi * z1**2 / c)
+        * np.exp(-np.pi * (lam / c) * z2**2)
+        * np.exp(1j * np.pi * ((lam - 1.0) / c) * (z1 * z2))
+    )

@@ -31,7 +31,7 @@ from .errors import DomainError, ResolutionError
 from .gaussians import _check_dilation, gaussian
 from .grid import SampledSignal, TFMatrix, signal_from_function
 from .distributions import cohen, wigner_grid
-from .kernels import CohenKernel, delta_kernel
+from .kernels import DELTA, CohenKernel, delta_kernel
 
 POSITION_INNER = "position_inner"
 FREQUENCY_INNER = "frequency_inner"
@@ -117,7 +117,7 @@ def _stft_norm(f: SampledSignal, spec: MixedNormSpec, order: str) -> float:
 def modulation_norm(f: SampledSignal, spec: MixedNormSpec) -> float:
     """Joint norm of the Gaussian-window STFT, position-inner nesting.
 
-    Equal to ``mixed_norm(stft(f, StftSpec(canonical_window(f))), ...)`` to
+    Equal to ``mixed_norm(stft(f, canonical_window(f)), ...)`` to
     rounding, but streamed: |V| is reduced ``_BLOCK`` rows at a time, with
     no phases, through a real FFT with mirror weights when f is real, so
     memory stays O(block n) instead of one n x n complex array.
@@ -294,7 +294,7 @@ def ghost_energy_report(
         block = cohen(f, f, k).values[np.ix_(in_x, in_w)]
         return float(np.sum(np.abs(block) ** 2) * g.cell_measure)
 
-    ks = [delta_kernel()] + [k for k in kernels if k.kind != "delta"]
+    ks = [delta_kernel()] + [k for k in kernels if k.kind != DELTA]
     energies = [region_energy(k) for k in ks]
     if energies[0] == 0.0:
         raise DomainError("reference distribution carries no region energy")

@@ -544,6 +544,68 @@ def test_file_reports_match_schema(tmp_path, capsys, schema, kind):
     assert report["report"] == kind and report["output"] == str(out)
 
 
+_ENVELOPE = ["schema_version", "report"]
+_WROTE = _ENVELOPE + ["output"]
+
+
+def _contract(kind, sig, sym, out):
+    """argv, envelope keys and the text lines (from the ``--json`` report)
+    of one report kind."""
+
+    def wrote(suffix):
+        return lambda report: [f"wrote {out}{suffix}"]
+
+    return {
+        "synth": (["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                   "--output", str(out)], _WROTE, wrote(" (64 samples)")),
+        "transform": (["transform", "--method", "bj", "--input", str(sig), "--output", str(out)],
+                      _WROTE, wrote(" (64 x 64)")),
+        "kernel": (["kernel", "--kind", "tau", "--tau", "0.3", "--n", "64", "--output", str(out)],
+                   _WROTE, wrote(" (tau(0.3))")),
+        "norm": (["norm", "--input", str(sig), "--p", "2", "--q", "oo", "--amalgam"],
+                 _ENVELOPE + ["value", "p", "q", "nesting", "input"],
+                 lambda r: [repr(r["value"])]),
+        "op": (["op", "--rule", "bj", "--symbol", str(sym), "--input", str(sig),
+                "--output", str(out)], _WROTE, wrote("")),
+        "oracle": (["oracle", "--which", "fourier-plain", "--lam", "2", "--x", "0.5", "--w", "0.25"],
+                   _ENVELOPE + ["which", "lam", "at", "re", "im"],
+                   lambda r: [repr(complex(r["re"], r["im"]))]),
+        "scaling": (_SCALING + ["--lambda-min", "16", "--lambda-max", "64", "--points", "6"],
+                    _ENVELOPE + ["family", "p", "q", "exponent", "stderr", "lambda_min",
+                                 "lambda_max", "points", "table"],
+                    lambda r: [f"exponent {r['exponent']:+.6f} +- {r['stderr']:.6f} "
+                               f"({r['points']} points)"]),
+        "ghost": (["experiment", "ghost", "--tau", "0.3"],
+                  _ENVELOPE + ["signal", "region", "rows"],
+                  lambda r: [f"{row['kernel']:12s} energy={row['energy']:.6e} "
+                             f"ratio={row['ratio_vs_wigner']:.6f}" for row in r["rows"]]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["synth", "transform", "kernel", "norm", "op", "oracle",
+                                  "scaling", "ghost"])
+def test_report_output_contract(signal_and_symbol, tmp_path, capsys, schema, kind):
+    # text mode prints the lines, --json the envelope; an experiment's
+    # --output file holds the --json text without print's final newline
+    sig, sym = signal_and_symbol
+    out = tmp_path / ("out.mat" if kind in ("transform", "kernel") else "out.csv")
+    argv, keys, lines = _contract(kind, sig, sym, out)
+    capsys.readouterr()
+    assert run(argv + ["--json"]) == 0
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
+    schema(report)
+    assert list(report) == keys
+    assert report["report"] == kind
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines(report) and captured.err == ""
+    if kind in ("scaling", "ghost"):
+        saved = tmp_path / "report.json"
+        assert run(argv + ["--output", str(saved), "--json"]) == 0
+        assert saved.read_text() + "\n" == capsys.readouterr().out == stdout
+
+
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     # a size numpy cannot allocate (tfq kernel --n 1000000); raised by a
     # stand-in handler, since a real huge array may be granted by an
@@ -681,3 +743,133 @@ def test_fuzzed_tau_on_transform_and_op(signal_and_symbol, command, method, tau)
             out = Path(tmp) / "o.csv"
             argv = ["op", "--rule", method, "--symbol", str(sym), "--input", str(sig)]
         _fuzzed_run(argv + [f"--tau={tau!r}", "--output", str(out), "--json"], out)
+
+
+# --- malformed input files: every mutation of a good signal, sidecar or
+# symbol file ends in a documented exit code with a message, and a failed
+# command leaves no output file
+
+_FIELD = st.one_of(
+    st.sampled_from(["", "0", "1", "-1", "63", "64", "1e308", "-1e308", "1e999", "5e-324", "nan",
+                     "inf", "-inf", "0x10", "1_0", " 2", "2 ", '"', '"1"', "\x00", "\ufeff", "é"]),
+    st.text(max_size=4),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+              st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=4,
+)
+_DROP = object()  # a header value that deletes its key
+_FILE_COMMANDS = st.sampled_from(["transform", "stft", "op", "norm"])
+
+
+def _fuzz_files(signal_and_symbol) -> dict:
+    sig, sym = signal_and_symbol
+    return {"f.csv": sig.read_bytes(), "f.json": tfq_io.sidecar_path(sig).read_bytes(),
+            "w.mat": sym.read_bytes()}
+
+
+def _with_row(files: dict, index: int, row: str) -> dict:
+    """``files`` with the CSV data row of ``index`` replaced by ``row``."""
+    lines = files["f.csv"].decode().split("\n")
+    lines[index + 1] = row
+    return {**files, "f.csv": "\n".join(lines).encode()}
+
+
+def _fuzzed_file_run(files: dict, command: str, codes=(0, 2, 3, 4)):
+    """Write ``files`` to a fresh directory and fuzz-run ``command`` on them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        sig, sym = str(tmp / "f.csv"), str(tmp / "w.mat")
+        out = tmp / ("o.csv" if command == "op" else "t.mat")
+        argv = {
+            "transform": ["transform", "--method", "bj", "--input", sig],
+            "stft": ["transform", "--method", "stft", "--input", sig],
+            "op": ["op", "--rule", "bj", "--symbol", sym, "--input", sig],
+            "norm": ["norm", "--input", sig, "--p", "2", "--q", "oo", "--json"],
+        }[command]
+        if command == "norm":
+            _fuzzed_run(argv, codes=codes)
+        else:
+            _fuzzed_run(argv + ["--output", str(out), "--json"], out, codes)
+
+
+def _edited(raw: bytes, key, value) -> dict:
+    doc = json.loads(raw)
+    if value is _DROP:
+        doc.pop(key, None)
+    else:
+        doc[key] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(command=_FILE_COMMANDS, line=st.integers(0, 66), insert=st.booleans(),
+       row=st.lists(_FIELD, max_size=4).map(",".join))
+def test_fuzzed_csv_rows(signal_and_symbol, command, line, insert, row):
+    files = _fuzz_files(signal_and_symbol)
+    lines = files["f.csv"].decode().split("\n")
+    lines[line : line + (not insert)] = [row]
+    files["f.csv"] = "\n".join(lines).encode()
+    _fuzzed_file_run(files, command)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(command=_FILE_COMMANDS, index=st.integers(0, 63), value=_EXTREME, part=st.booleans())
+def test_fuzzed_csv_sample_values(signal_and_symbol, command, index, value, part):
+    # one sample set to an extreme float, in its real or its imaginary part
+    row = f"{index},{value!r},0.0" if part else f"{index},0.0,{value!r}"
+    _fuzzed_file_run(_with_row(_fuzz_files(signal_and_symbol), index, row), command)
+
+
+@pytest.mark.parametrize("command", ["transform", "norm"])
+def test_overflowing_sample_exits_2(signal_and_symbol, command):
+    # a central sample of 1e308 overflowed the correlation (transform) or
+    # |V|^p (norm): numpy warnings, then NaN in the written file or inf in
+    # the report, and exit 0
+    files = _with_row(_fuzz_files(signal_and_symbol), 16, "16,1e+308,0.0")
+    _fuzzed_file_run(files, command, codes=(2,))
+
+
+@pytest.mark.parametrize("name", ["f.json", "w.mat"])
+def test_json_nested_too_deep_exits_3(signal_and_symbol, name):
+    # the JSON parser's RecursionError ended in a traceback and exit 1
+    files, deep = _fuzz_files(signal_and_symbol), b"[" * 100_000
+    files[name] = struct.pack("<I", len(deep)) + deep if name == "w.mat" else deep
+    _fuzzed_file_run(files, "op", codes=(3,))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(command=_FILE_COMMANDS, key=st.sampled_from(["x0", "dx", "kind"]),
+       value=st.one_of(st.just(_DROP), _JSON))
+def test_fuzzed_sidecar_values(signal_and_symbol, command, key, value):
+    files = _fuzz_files(signal_and_symbol)
+    files["f.json"] = json.dumps(_edited(files["f.json"], key, value)).encode()
+    _fuzzed_file_run(files, command)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(key=st.sampled_from(["format", "version", "nx", "x0", "dx", "nw", "w0", "dw", "domain",
+                            "dtype"]),
+       value=st.one_of(st.just(_DROP), _JSON, st.integers(-2, 130)))
+def test_fuzzed_matrix_headers(signal_and_symbol, key, value):
+    files = _fuzz_files(signal_and_symbol)
+    raw = files["w.mat"]
+    (hlen,) = struct.unpack("<I", raw[:4])
+    head = json.dumps(_edited(raw[4 : 4 + hlen], key, value)).encode()
+    files["w.mat"] = struct.pack("<I", len(head)) + head + raw[4 + hlen :]
+    _fuzzed_file_run(files, "op")
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(command=_FILE_COMMANDS, name=st.sampled_from(["f.csv", "f.json", "w.mat"]),
+       cut=st.integers(0, 2**20), garbage=st.binary(max_size=8))
+def test_fuzzed_truncated_files(signal_and_symbol, command, name, cut, garbage):
+    # cut anywhere, then a few stray bytes (none: a plain truncation)
+    files = _fuzz_files(signal_and_symbol)
+    files[name] = files[name][: cut % (len(files[name]) + 1)] + garbage
+    _fuzzed_file_run(files, "op" if name == "w.mat" else command)

@@ -8,7 +8,6 @@ from tfq import (
     DomainError,
     GridError,
     SampledSignal,
-    StftSpec,
     WindowError,
     born_jordan,
     born_jordan_direct,
@@ -34,7 +33,7 @@ from oracles import born_jordan_tau_average, stft_point_brute, tau_wigner_direct
 
 def test_stft_gaussian_center_value():
     f = gaussian_signal(1.0, 512, 1 / 16)
-    v = stft(f, StftSpec(window=canonical_window(f)))
+    v = stft(f, canonical_window(f))
     n = f.n
     # (0, 0) sits at indices (n/2, n/2); value is 2^{-1/2}
     got = abs(v.values[n // 2, n // 2])
@@ -47,7 +46,7 @@ def test_stft_gaussian_center_value():
 def test_stft_zero_signal():
     f = gaussian_signal(1.0, 128, 1 / 16)
     z = f.with_samples(np.zeros(f.n))
-    v = stft(z, StftSpec(window=canonical_window(f)))
+    v = stft(z, canonical_window(f))
     assert np.all(v.values == 0)
 
 
@@ -55,17 +54,20 @@ def test_stft_rejects_mismatched_grids_and_zero_window():
     f = gaussian_signal(1.0, 128, 1 / 16)
     g = gaussian_signal(1.0, 128, 1 / 8)
     with pytest.raises(GridError):
-        stft(f, StftSpec(window=g))
+        stft(f, g)
+    zero = f.with_samples(np.zeros(f.n))
     with pytest.raises(WindowError):
-        StftSpec(window=f.with_samples(np.zeros(f.n)))
+        stft(f, zero)
+    with pytest.raises(GridError):  # the grid is checked first
+        stft(g, zero)
 
 
 def test_stft_fundamental_identity(rng):
     # |V_g f(x, w)| = |V_{Fg} Ff (w, -x)| at grid points
     f = band_limited_signal(rng, n=256, dx=1 / 16)
     g = canonical_window(f)
-    v_direct = stft(f, StftSpec(window=g))
-    v_hat = stft(dft(f), StftSpec(window=dft(g)))
+    v_direct = stft(f, g)
+    v_hat = stft(dft(f), dft(g))
     n = f.n
     neg = (-np.arange(n)) % n
     # rows of v_hat are positions on the frequency axis == columns of v_direct
@@ -78,7 +80,7 @@ def test_stft_moyal(rng):
     for _ in range(10):
         f = band_limited_signal(rng, n=256)
         g = canonical_window(f)
-        v = stft(f, StftSpec(window=g))
+        v = stft(f, g)
         lhs = v.l2_norm() ** 2
         rhs = f.energy() * g.energy()
         assert abs(lhs - rhs) < 1e-10 * rhs
@@ -317,7 +319,7 @@ def test_tau_half_kernel_identical_to_delta(rng):
 
 def test_stft_grid_is_dft_compatible():
     f = gaussian_signal(1.0, 256, 1 / 16)
-    v = stft(f, StftSpec(window=canonical_window(f)))
+    v = stft(f, canonical_window(f))
     g = v.grid
     assert g.nx == g.nw and abs(g.dx * g.dw * g.nx - 1.0) < 1e-12
 

@@ -29,7 +29,6 @@ from tfq import (
     PHASE_SPACE,
     PhaseSpaceGrid,
     SampledSignal,
-    StftSpec,
     Symbol,
     TFMatrix,
     born_jordan,
@@ -407,8 +406,8 @@ def test_sinc_lattice_matches_np_sinc(n):
 
 
 def _stft_call(f):
-    spec = StftSpec(window=canonical_window(f))
-    return lambda: stft(f, spec)
+    window = canonical_window(f)
+    return lambda: stft(f, window)
 
 
 def _ghost_call(f):

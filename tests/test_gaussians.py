@@ -62,6 +62,17 @@ def test_largest_dilation_with_finite_pi_lam_is_a_spike():
     assert np.array_equal(gaussian(x, 5.7e307), [1.0, 1.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("oracle, peak", [
+    (wigner_gaussian, lambda lam: 2.0 / np.sqrt(lam + 1.0)),
+    (wigner_gaussian_diag, lambda lam: np.sqrt(2.0 / lam)),
+], ids=["cross", "diag"])
+def test_largest_dilation_oracles_are_finite_at_the_origin(oracle, peak):
+    # 4 pi lam (2 pi lam) overflowed before x^2 scaled it, and inf * 0 made
+    # a NaN or an invalid-value warning; RuntimeWarnings are test errors
+    value = oracle(5.7e307, 0.0, 0.0)
+    assert np.isfinite(value) and value == peak(5.7e307)
+
+
 def test_fourier_center_value():
     assert abs(fourier_wigner_gaussian(3.0, 0.0, 0.0, "symplectic") - 0.5) < 1e-15
 

@@ -73,12 +73,12 @@ def test_sup_norm_is_max():
 
 
 def test_l22_is_moyal(rng):
-    from tfq import StftSpec, stft
+    from tfq import stft
 
     for _ in range(5):
         f = band_limited_signal(rng, n=256)
         g = canonical_window(f)
-        v = stft(f, StftSpec(window=g))
+        v = stft(f, g)
         got = mixed_norm(v, MixedNormSpec(2.0, 2.0))
         want = np.sqrt(f.energy() * g.energy())
         assert abs(got - want) < 1e-6 * want
@@ -171,10 +171,10 @@ def _norm_signal(kind, n):
 def test_streamed_norms_match_dense_stft(kind, n):
     # the streamed |V| route against the dense transform, every exponent
     # pair and both nestings; n = 8 and 16 lie below the row block
-    from tfq import StftSpec, stft
+    from tfq import stft
 
     f = _norm_signal(kind, n)
-    v = stft(f, StftSpec(canonical_window(f)))
+    v = stft(f, canonical_window(f))
     exps = (1.0, 2.0, 3.5, INF)
     for p in exps:
         for q in exps:
