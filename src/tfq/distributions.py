@@ -25,7 +25,18 @@ do on their whole lag kernel.  Summed over every entry instead, W(f, g),
 or a Cohen distribution whose multiplier has |Phi| <= 1, would differ by
 at most B = (2 dx / n) sum_m sum_k |R[k, m]|, R the time DFT of the
 correlation restricted to the entries not written.  Operator matrices and
-the symbol map in ``operators`` run ``_lag_filter`` too.
+the symbol map in ``operators`` run ``_lag_filter`` too.  The ghost report
+of ``norms`` reads a few rows: it runs the same correlation and the same
+full lag filter, then the lag FFT of the region's rows alone, which hold
+``cohen``'s values to the bit.
+
+Gaussian tails underflow into subnormal products, which slow every FFT
+pass.  ``_correlation`` zeroes each sample below t = min(2^-510 /
+sqrt(min(s, 1)), 2^-100 max|f|), s the constant on f, alike on both sides
+(the diagonal stays Hermitian; the half and full routes drop the same
+products): a kept product, s included, is normal unless the signal is
+that small.  The zeroed samples carry at most B, with R restricted to the
+written entries that have a zeroed factor (each below t times the other).
 
 On the diagonal (g omitted or ``g is f``) the correlation is Hermitian in
 the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
@@ -33,8 +44,10 @@ symmetry (it is real and even), so ``wigner`` and ``born_jordan`` fill
 only the n/4 + 1 lags m = 0..n/4 and finish each row with a real inverse
 FFT into a float64 output: half the lag work, half the memory.
 On the engines' lattice the product z1 z2 is exactly 2 k m / n for integer
-time frequency k and lag m, so the Born-Jordan multiplier sinc(z1 z2) is
-read from a sine table instead of evaluated from rounded products.
+time frequency k and lag m, so every multiplier is read from tables at the
+integer k m, not evaluated from rounded products: Born-Jordan's sinc(z1 z2)
+from a sine table, the tau phase from two unit-modulus tables, one per
+quotient and one per residue of k m mod n.
 """
 
 from __future__ import annotations
@@ -49,8 +62,8 @@ from .kernels import (
     DELTA,
     TAU,
     CohenKernel,
-    ambiguity_multiplier,
     born_jordan_kernel,
+    delta_kernel,
     theta_sigma_cell_averages,
 )
 
@@ -115,10 +128,18 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half: 
     n, q = f.n, f.n // 4
     # the first lag written, and how many
     m0, count = (0, q + 1) if half else (-q, 2 * q + 1)
+    # zero the samples below the floor t of the module docstring, alike on
+    # both sides, so the diagonal's products stay Hermitian in the lag
+    floor = 2.0**-510 / np.sqrt(min(scale, 1.0))
+
+    def flushed(s):
+        mag = np.abs(s)
+        return np.where(mag < min(floor, 2.0**-100 * mag.max()), 0.0, s)
+
     quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
     pad = np.zeros(n // 2, dtype=complex)
-    fp = np.concatenate([pad, f.samples * quarter * scale, pad])
-    gp = np.concatenate([pad, np.conj(g.samples * quarter), pad])[::-1]
+    fp = np.concatenate([pad, flushed(f.samples) * quarter * scale, pad])
+    gp = np.concatenate([pad, np.conj(flushed(g.samples) * quarter), pad])[::-1]
     window = slice(n // 2 + m0, 3 * n // 2 + m0)  # window of row i: i + m0 + n/2
     lo, hi, _ = rows.indices(n)
     # allocated after the small arrays above (before them, it left the heap
@@ -135,20 +156,24 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half: 
     return out, band
 
 
-def _lag_step(out: np.ndarray, band: np.ndarray) -> np.ndarray:
+def _lag_step(out: np.ndarray, band: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Lag FFT of ``_correlation``'s band into the len(band) central rows
-    of ``out`` it holds.  Bottom up, each block of band rows goes to a zero
-    row buffer, lag m at column m mod n, and its transform into the same
-    output rows; output row lo + a starts a output rows past the band, band
-    row a - 1 ends a band rows (each at most 3/4 of an output row) past it.
+    of ``out`` it holds, or into those of them among the output ``rows``
+    alone (every other row then keeps whatever bytes it holds).  Bottom
+    up, each block of band rows goes to a zero row buffer, lag m at column
+    m mod n, and its transform into the same output rows; output row
+    lo + a starts a output rows past the band, band row a - 1 ends a band
+    rows (each at most 3/4 of an output row) past it.
     Across, an FFT; on a float64 ``out`` (lags m >= 0 of a Hermitian
     correlation, padded to n/2 + 1), a real inverse FFT of the conjugate:
     sum_m r[m] e^{-2 pi i m k / n} is real, so it is n irfft(conj(r))."""
-    n, rows = len(out), len(band)
-    lo, q, step = (n - rows) // 2, n // 4, 16  # step: rows per FFT block
+    n = len(out)
+    lo, q, step = (n - len(band)) // 2, n // 4, 16  # step: rows per FFT block
+    start, stop, _ = rows.indices(n)
+    first, last = max(start - lo, 0), min(stop - lo, len(band))
     buf = np.zeros((step, n), dtype=complex)
-    for b in range(rows, 0, -step):
-        a = max(0, b - step)
+    for b in range(last, first, -step):
+        a = max(first, b - step)
         if out.dtype == complex:
             buf[: b - a, : q + 1] = band[a:b, q:]
             buf[: b - a, n - q :] = band[a:b, :q]
@@ -160,30 +185,45 @@ def _lag_step(out: np.ndarray, band: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sinc_lattice(k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """sinc(2 k m / n) at integer rows k and columns m, as the real array
-    sin_table[k m mod n] / (2 pi k m / n) (1 where k m = 0), n a power of
-    two: exact integer phases, where ``np.sinc`` would round z1 z2 (up to
-    about n/2) before scaling by pi."""
-    km = np.multiply.outer(k, m)
-    den = km * (2.0 * np.pi / n)
-    out = np.sin((2.0 * np.pi / n) * np.arange(n))[np.bitwise_and(km, n - 1, out=km)]
-    # k m = 0 only on the row k = 0 and the column m = 0, where sinc is 1
-    out[k == 0] = den[k == 0] = 1.0
-    out[:, m == 0] = den[:, m == 0] = 1.0
-    out /= den
-    return out
-
-
-def _lattice_multiplier(kernel: CohenKernel, dx: float, lags: np.ndarray, n: int):
-    """The kernel's multiplier at (2 lags dx, k / (n dx)) on a block of rows
-    k of an n-point time FFT, as a callable: Born-Jordan from
-    ``_sinc_lattice``, other kernels from ``ambiguity_multiplier``."""
+def _lattice_multiplier(kernel: CohenKernel, lags: np.ndarray, n: int):
+    """The kernel's multiplier at (2 lags dx, k / (n dx)), z1 z2 = 2 k m / n
+    whatever dx is, on a block of rows k of an n-point time FFT, as a
+    callable of the block: read from tables at the integer k m = a n + r
+    (0 <= r < n), any even n.  Born-Jordan is sin_table[r] / (2 pi k m / n),
+    1 at k m = 0; tau (delta: tau = 1/2) is T_a[a] T_r[r], each turn count
+    reduced to [-1/2, 1/2] exactly (a 27-bit head of 2 tau - 1 times a is
+    exact), so no phase of up to pi n / 2 is rounded at full size."""
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
     if kernel.kind == BORN_JORDAN:
-        k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-        return lambda rows: _sinc_lattice(k[rows], lags, n)
-    z1, z2 = 2.0 * dx * lags[None, :], np.fft.fftfreq(n, dx)[:, None]
-    return lambda rows: ambiguity_multiplier(kernel, z1, z2[rows])
+        table = np.sin((2.0 * np.pi / n) * np.arange(n))
+
+        def phi(rows):
+            km = np.multiply.outer(k[rows], lags)
+            den = km * (2.0 * np.pi / n)
+            km -= km // n * n
+            out = table[km]
+            # k m = 0 only on the row k = 0 and the column m = 0, where sinc is 1
+            out[k[rows] == 0] = den[k[rows] == 0] = 1.0
+            out[:, lags == 0] = den[:, lags == 0] = 1.0
+            out /= den
+            return out
+        return phi
+    c = 2.0 * kernel.tau - 1.0 if kernel.kind == TAU else 0.0
+    head = np.round(c * 2.0**26) / 2.0**26
+    a0 = -(n // 4) - 1  # the least a: k m >= -n^2 / 4
+    a = np.arange(a0, n // 4 + 1)
+    t_a = np.exp(2j * np.pi * (head * a - np.round(head * a) + (c - head) * a))
+    r = c * np.arange(n) / n
+    t_r = np.exp(2j * np.pi * (r - np.round(r)))
+
+    def phi(rows):
+        km = np.multiply.outer(k[rows], lags) - a0 * n  # (a - a0) n + r >= 0
+        a = km // n
+        km -= a * n
+        out = t_r[km]
+        out *= t_a[a]
+        return out
+    return phi
 
 
 def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
@@ -198,6 +238,22 @@ def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
     return np.fft.ifft(r, axis=0, norm=norm, out=r)
 
 
+def _cohen_rows(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel,
+                rows=slice(None)) -> np.ndarray:
+    """``cohen``'s values, only the output ``rows`` lag-transformed (every
+    other row then holds band bytes); kernels whose multiplier is exactly
+    one (delta, tau = 1/2) take ``wigner``'s central-row route."""
+    n, diag = f.n, g is None or g is f
+    if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
+        out, band = _correlation(f, g, 2.0 * f.dx, diag, slice(n // 4, 3 * n // 4))
+    else:
+        half = diag and kernel.kind == BORN_JORDAN
+        out, band = _correlation(f, g, 2.0 * f.dx / n, half)
+        lags = np.arange(band.shape[1]) - (0 if half else n // 4)
+        _lag_filter(band, _lattice_multiplier(kernel, lags, n), "forward")
+    return _lag_step(out, band, rows)
+
+
 def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     """Cross-distribution W(f, g) by exact integer-lag correlation.
 
@@ -208,8 +264,7 @@ def wigner(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:
     m = 0..n/4, and float64 values, otherwise complex128.  Raises
     AliasingError when either support leaks outside the central half-window.
     """
-    out, band = _correlation(f, g, 2.0 * f.dx, g is None or g is f, slice(f.n // 4, 3 * f.n // 4))
-    return TFMatrix(_lag_step(out, band), wigner_grid(f), PHASE_SPACE)
+    return TFMatrix(_cohen_rows(f, g, delta_kernel()), wigner_grid(f), PHASE_SPACE)
 
 
 def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFMatrix:
@@ -220,16 +275,11 @@ def cohen(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel) -> TFM
     2 dx / n on f, so neither the inverse time FFT nor the lag FFT scales;
     the band lies in the output's own memory.  Kernels whose
     multiplier is exactly one (delta, tau = 1/2) give ``wigner`` itself.
-    Born-Jordan's sinc(z1 z2) comes from a sine table on either route; on
-    the diagonal (g omitted or ``g is f``) it runs on the lags m = 0..n/4
-    only and returns float64 values, every other case complex128."""
-    if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
-        return wigner(f, g)
-    half = kernel.kind == BORN_JORDAN and (g is None or g is f)
-    out, band = _correlation(f, g, 2.0 * f.dx / f.n, half)
-    lags = np.arange(band.shape[1]) - (0 if half else f.n // 4)
-    _lag_filter(band, _lattice_multiplier(kernel, f.dx, lags, f.n), "forward")
-    return TFMatrix(_lag_step(out, band), wigner_grid(f), PHASE_SPACE)
+    The multiplier is read from tables at the exact lattice products on
+    either route; on the diagonal (g omitted or ``g is f``) Born-Jordan
+    runs on the lags m = 0..n/4 only and returns float64 values, every
+    other case complex128."""
+    return TFMatrix(_cohen_rows(f, g, kernel), wigner_grid(f), PHASE_SPACE)
 
 
 def born_jordan(f: SampledSignal, g: SampledSignal | None = None) -> TFMatrix:

@@ -123,6 +123,8 @@ def read_matrix(path) -> TFMatrix:
         if len(prefix) < 4:
             raise ValueError(f"{path}: truncated matrix file")
         (hlen,) = struct.unpack("<I", prefix)
+        if 4 + hlen > size:  # before the read, which would allocate hlen bytes
+            raise ValueError(f"{path}: truncated matrix file: {hlen} header bytes, {size} in all")
         header = json.loads(fh.read(hlen).decode())
         if not isinstance(header, dict) or header.get("format") != MATRIX_FORMAT:
             raise ValueError(f"{path}: not a {MATRIX_FORMAT} file")

@@ -67,7 +67,10 @@ def ambiguity_multiplier(kernel: CohenKernel, z1, z2):
     e^{+pi i (2 tau - 1) z1 z2}: the symplectic transform of the tau
     kernel's plain transform e^{-pi i (2 tau - 1) z1 z2}, the sign being
     pinned by the requirement that tau = 1/2 reproduce the Wigner case and
-    confirmed against direct fractional-shift evaluation.
+    confirmed against direct fractional-shift evaluation.  In the library,
+    ``operators.symbol_transform`` (off the engines' lattice) and the
+    ``tfq kernel`` command call it; the distribution engines and operator
+    matrices read the same values from exact-lattice tables instead.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)

@@ -102,7 +102,7 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     lag *= 2.0 * n * g.dx * g.dw
     lag[:, 1::2] *= -1.0
     if rule.kind != DELTA:
-        phi = _lattice_multiplier(rule, g.dx, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), n)
+        phi = _lattice_multiplier(rule, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), n)
         _lag_filter(lag, lambda rows: np.conj(phi(rows)))
     # lag m fills M[i + m, i - m], i in [|m|, n - |m|): one stride-(n + 1)
     # anti-diagonal of the flat matrix; entries with j + u odd stay zero

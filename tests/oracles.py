@@ -5,7 +5,8 @@ quadrature against defining integrals only.  Four check the fused
 distribution engine: a direct DFT sum for the cross-distribution, the
 same sum after a time filter of the correlation (both over every lag
 |m| < n/2 of every row, where the engines build only |m| <= n/4 on the
-central rows; ``dropped_lag_bound`` bounds what the other entries carry),
+central rows; ``dropped_lag_bound`` bounds what the other entries carry,
+``flushed_sample_bound`` what the samples the engines zero carry),
 and the three-step ambiguity route (symplectic transform, multiplier,
 symplectic transform back) built from public functions only, for a
 kernel or for any multiplier callable (z1, z2) -> complex.  Two more
@@ -273,21 +274,52 @@ def cohen_full_lag(f, g, kernel):
     return _dense_lag_sum(m, r, f.dx)
 
 
-def dropped_lag_bound(f, g):
+def _entry_bound(r, entries, dx):
     """(2 dx / n) sum over m and k of |R[k, m]|, R the time DFT of the
-    correlation on the entries (i, m) the engines do not write, every one
-    outside the central rows n/4 <= i < 3n/4 x the band |m| <= n/4: a bound
-    on the sup of what those entries add to W(f, g) or to any Cohen
-    distribution whose multiplier has |Phi| <= 1 (each filtered lag column
-    is an inverse DFT of R Phi, so its sup is at most (1/n) sum_k |R[k, m]|,
-    and the lag sum adds the columns with unit phases times 2 dx)."""
+    correlation ``r`` on ``entries`` alone: a bound on the sup of what those
+    entries add to W(f, g) or to any Cohen distribution whose multiplier
+    has |Phi| <= 1 (each filtered lag column is an inverse DFT of R Phi, so
+    its sup is at most (1/n) sum_k |R[k, m]|, and the lag sum adds the
+    columns with unit phases times 2 dx)."""
+    spectrum = np.fft.fft(np.where(entries, r, 0.0), axis=0)
+    return 2.0 * dx / len(r) * float(np.abs(spectrum).sum())
+
+
+def _written(m, n):
+    """The entries (i, m) the engines write: the central rows
+    n/4 <= i < 3n/4 x the band |m| <= n/4."""
+    i = np.arange(n)[:, None]
+    return (n // 4 <= i) & (i < 3 * n // 4) & (np.abs(m) <= n // 4)
+
+
+def dropped_lag_bound(f, g):
+    """``_entry_bound`` on the entries the engines do not write, every one
+    outside the central rows x the band."""
+    if g is None:
+        g = f
+    m, r = _full_lag_correlation(f, g)
+    return _entry_bound(r, ~_written(m, f.n), f.dx)
+
+
+def flushed_sample_bound(f, g, scale):
+    """``_entry_bound`` on the written entries with a factor that the
+    engines zero: a sample below min(2^-510 / sqrt(min(scale, 1)), 2^-100
+    of its signal's peak), ``scale`` the constant on f (2 dx for ``wigner``,
+    2 dx / n for ``cohen``).  Disjoint from ``dropped_lag_bound``'s
+    entries, so the two bounds add."""
     if g is None:
         g = f
     n = f.n
     m, r = _full_lag_correlation(f, g)
+    floor = 2.0**-510 / np.sqrt(min(scale, 1.0))
+
+    def small(s):
+        mag = np.abs(s)
+        return mag < min(floor, 2.0**-100 * mag.max())
+
     i = np.arange(n)[:, None]
-    r[(n // 4 <= i) & (i < 3 * n // 4) & (np.abs(m) <= n // 4)] = 0.0
-    return 2.0 * f.dx / n * float(np.abs(np.fft.fft(r, axis=0)).sum())
+    zeroed = small(f.samples)[(i + m) % n] | small(g.samples)[(i - m) % n]
+    return _entry_bound(r, zeroed & _written(m, n), f.dx)
 
 
 def symbol_filter_three_step(matrix, kernel, conj=False):

@@ -643,7 +643,8 @@ def _all_finite(value):
 def _fuzzed_run(argv, output=None, codes=(0, 2, 3, 4)):
     """Run the CLI on fuzzed flags: a documented exit code, no traceback or
     numpy warning on stderr, no output file or stdout after a failure, and
-    only finite numbers in the report and the output file after exit 0."""
+    only finite numbers in the report and the output file after exit 0;
+    returns what was written to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
@@ -657,13 +658,14 @@ def _fuzzed_run(argv, output=None, codes=(0, 2, 3, 4)):
         assert err.startswith(("error:", "i/o error:", "accuracy error:", "usage:")), (argv, err)
         assert output is None or not (output.exists() or tfq_io.sidecar_path(output).exists())
         assert out.getvalue() == "", (argv, out.getvalue())
-        return
+        return err
     if "--json" in argv:
         assert _all_finite(json.loads(out.getvalue())), (argv, out.getvalue())
     if output is not None and output.suffix == ".mat":
         assert np.isfinite(tfq_io.read_matrix(output).values).all(), argv
     elif output is not None and output.suffix == ".csv":
         assert np.isfinite(tfq_io.read_signal(output).samples).all(), argv
+    return err
 
 
 def _flags(values):
@@ -763,12 +765,24 @@ _JSON = st.recursive(
 )
 _DROP = object()  # a header value that deletes its key
 _FILE_COMMANDS = st.sampled_from(["transform", "stft", "op", "norm"])
+# the other two commands that read a signal file: the --cross operand (the
+# --input beside it, g.csv, is intact) and synth's from_file recipe
+_READ_SIGNAL_COMMANDS = st.sampled_from(["cross", "from_file"])
 
 
 def _fuzz_files(signal_and_symbol) -> dict:
     sig, sym = signal_and_symbol
-    return {"f.csv": sig.read_bytes(), "f.json": tfq_io.sidecar_path(sig).read_bytes(),
-            "w.mat": sym.read_bytes()}
+    files = {"f.csv": sig.read_bytes(), "f.json": tfq_io.sidecar_path(sig).read_bytes(),
+             "w.mat": sym.read_bytes()}
+    return {**files, "g.csv": files["f.csv"], "g.json": files["f.json"]}
+
+
+def _with_line(files: dict, line: int, insert: bool, row: str) -> dict:
+    """``files`` with ``row`` in place of line ``line`` of the CSV, or
+    inserted before it."""
+    lines = files["f.csv"].decode().split("\n")
+    lines[line : line + (not insert)] = [row]
+    return {**files, "f.csv": "\n".join(lines).encode()}
 
 
 def _with_row(files: dict, index: int, row: str) -> dict:
@@ -779,23 +793,26 @@ def _with_row(files: dict, index: int, row: str) -> dict:
 
 
 def _fuzzed_file_run(files: dict, command: str, codes=(0, 2, 3, 4)):
-    """Write ``files`` to a fresh directory and fuzz-run ``command`` on them."""
+    """Write ``files`` to a fresh directory and fuzz-run ``command`` on them;
+    returns its stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, data in files.items():
             (tmp / name).write_bytes(data)
         sig, sym = str(tmp / "f.csv"), str(tmp / "w.mat")
-        out = tmp / ("o.csv" if command == "op" else "t.mat")
+        out = tmp / ("o.csv" if command in ("op", "from_file") else "t.mat")
         argv = {
             "transform": ["transform", "--method", "bj", "--input", sig],
             "stft": ["transform", "--method", "stft", "--input", sig],
             "op": ["op", "--rule", "bj", "--symbol", sym, "--input", sig],
             "norm": ["norm", "--input", sig, "--p", "2", "--q", "oo", "--json"],
+            "cross": ["transform", "--method", "bj", "--input", str(tmp / "g.csv"),
+                      "--cross", sig],
+            "from_file": ["synth", "--kind", "from_file", "--path", sig],
         }[command]
         if command == "norm":
-            _fuzzed_run(argv, codes=codes)
-        else:
-            _fuzzed_run(argv + ["--output", str(out), "--json"], out, codes)
+            return _fuzzed_run(argv, codes=codes)
+        return _fuzzed_run(argv + ["--output", str(out), "--json"], out, codes)
 
 
 def _edited(raw: bytes, key, value) -> dict:
@@ -811,11 +828,16 @@ def _edited(raw: bytes, key, value) -> dict:
 @given(command=_FILE_COMMANDS, line=st.integers(0, 66), insert=st.booleans(),
        row=st.lists(_FIELD, max_size=4).map(",".join))
 def test_fuzzed_csv_rows(signal_and_symbol, command, line, insert, row):
-    files = _fuzz_files(signal_and_symbol)
-    lines = files["f.csv"].decode().split("\n")
-    lines[line : line + (not insert)] = [row]
-    files["f.csv"] = "\n".join(lines).encode()
-    _fuzzed_file_run(files, command)
+    _fuzzed_file_run(_with_line(_fuzz_files(signal_and_symbol), line, insert, row), command)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(command=_READ_SIGNAL_COMMANDS, line=st.integers(0, 66), insert=st.booleans(),
+       row=st.lists(_FIELD, max_size=4).map(",".join))
+def test_fuzzed_csv_rows_through_cross_and_from_file(signal_and_symbol, command, line, insert,
+                                                     row):
+    files = _with_line(_fuzz_files(signal_and_symbol), line, insert, row)
+    _fuzzed_file_run(files, command, codes=(0, 2, 3))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -835,6 +857,14 @@ def test_overflowing_sample_exits_2(signal_and_symbol, command):
     _fuzzed_file_run(files, command, codes=(2,))
 
 
+def test_header_length_past_the_end_exits_3(signal_and_symbol):
+    # the reader asked for a 4 GiB header buffer, then failed on its JSON
+    # with a misleading message, or exited 2 where the allocation was refused
+    files = _fuzz_files(signal_and_symbol)
+    files["w.mat"] = struct.pack("<I", 0xFFFFFFF0) + files["w.mat"][4:]
+    assert "truncated matrix file" in _fuzzed_file_run(files, "op", codes=(3,))
+
+
 @pytest.mark.parametrize("name", ["f.json", "w.mat"])
 def test_json_nested_too_deep_exits_3(signal_and_symbol, name):
     # the JSON parser's RecursionError ended in a traceback and exit 1
@@ -850,6 +880,16 @@ def test_fuzzed_sidecar_values(signal_and_symbol, command, key, value):
     files = _fuzz_files(signal_and_symbol)
     files["f.json"] = json.dumps(_edited(files["f.json"], key, value)).encode()
     _fuzzed_file_run(files, command)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(command=_READ_SIGNAL_COMMANDS, key=st.sampled_from(["x0", "dx", "kind"]),
+       value=st.one_of(st.just(_DROP), _JSON))
+def test_fuzzed_sidecar_values_through_cross_and_from_file(signal_and_symbol, command, key,
+                                                           value):
+    files = _fuzz_files(signal_and_symbol)
+    files["f.json"] = json.dumps(_edited(files["f.json"], key, value)).encode()
+    _fuzzed_file_run(files, command, codes=(0, 2, 3))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -22,6 +22,7 @@ first output row the lag step writes, checked by spies.
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,7 @@ from tfq import (
     SampledSignal,
     Symbol,
     TFMatrix,
+    ambiguity_multiplier,
     born_jordan,
     born_jordan_kernel,
     born_jordan_rule,
@@ -50,7 +52,7 @@ from tfq import (
     wigner_grid,
 )
 from tfq import distributions
-from tfq.distributions import _lag_filter, _lag_step, _lattice_multiplier, _sinc_lattice
+from tfq.distributions import _lag_filter, _lag_step, _lattice_multiplier
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
@@ -58,6 +60,7 @@ from oracles import (
     cohen_full_lag,
     cohen_three_step,
     dropped_lag_bound,
+    flushed_sample_bound,
     symbol_filter_three_step,
     wigner_direct_sum,
 )
@@ -126,7 +129,7 @@ def test_ambiguity_filter_matches_three_step(name, conj, n):
         kernel, phi = _asymmetric, _asymmetric_rows(grid.dx, lags, n)
     else:
         kernel = KERNELS[name]
-        phi = _lattice_multiplier(kernel, grid.dx, lags, n)
+        phi = _lattice_multiplier(kernel, lags, n)
     ref = symbol_filter_three_step(m, kernel, conj=conj)
     mult = (lambda rows: np.conj(phi(rows))) if conj else phi
     got = _lag_filter(np.fft.ifft(m.values, axis=1), mult)
@@ -235,9 +238,9 @@ def test_lag_filter_sees_only_the_quarter_band(monkeypatch, name, cross):
     # n/4 + 1 lags m >= 0 on the diagonal Born-Jordan route
     shapes, seen_lags = [], []
 
-    def lattice_spy(kernel, dx, lags, n):
+    def lattice_spy(kernel, lags, n):
         seen_lags.append(lags.copy())
-        return _lattice_multiplier(kernel, dx, lags, n)
+        return _lattice_multiplier(kernel, lags, n)
 
     def filter_spy(r, mult, norm="backward"):
         shapes.append(r.shape)
@@ -263,9 +266,9 @@ def test_lag_step_sees_only_the_central_rows(monkeypatch, cross):
     # FFT runs on all n
     seen = []
 
-    def spy(out, band):
+    def spy(out, band, rows=slice(None)):
         seen.append(len(band))
-        return _lag_step(out, band)
+        return _lag_step(out, band, rows)
 
     monkeypatch.setattr(distributions, "_lag_step", spy)
     n = 64
@@ -295,9 +298,9 @@ def test_band_is_compact_in_the_output(monkeypatch, case):
         seen.append(r)
         return _lag_filter(r, mult, norm)
 
-    def step_spy(out, band):
+    def step_spy(out, band, rows=slice(None)):
         seen.append(band)
-        return _lag_step(out, band)
+        return _lag_step(out, band, rows)
 
     if name == "wigner":
         monkeypatch.setattr(distributions, "_lag_step", step_spy)
@@ -390,19 +393,135 @@ def test_result_dtypes():
     assert TFMatrix(np.ones((64, 64)), wigner_grid(f)).values.dtype == np.float64
 
 
-@pytest.mark.parametrize("n", [8, 1024, 4096])
-def test_sinc_lattice_matches_np_sinc(n):
-    # every lag the engines use, -n/2..n/2, against sinc at the products of
-    # the engines' float axes, in row blocks to keep memory small
-    dx = 1 / 16
+LATTICE_KERNELS = {"bj": born_jordan_kernel(), "delta": delta_kernel(),
+                   **{f"tau{t:g}": tau_kernel(t) for t in (0.0, 0.3, 0.7, 1.0)}}
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in LATTICE_KERNELS
+                                     for n in (8, 64, 256, 1024)] + [("bj", 4096)])
+def test_lattice_multiplier_matches_ambiguity_multiplier(name, n):
+    # every lag the engines use, -n/2..n/2, at every row of the time FFT,
+    # against the public multiplier at the products of the engines' float
+    # axes, on both spacings the tests use (at dx = 0.07, z1 z2 is 2 k m / n
+    # only up to rounding), in row blocks to keep memory small.  The
+    # reference rounds its phase pi (2 tau - 1) z1 z2 at full size (up to
+    # pi n / 2) with about four roundings, so it may be 4 eps |phase| off;
+    # the lattice reduces the turns to [-1/2, 1/2] first, so against the exact phase
+    # it is within 1e-15 (checked with mpmath at the extreme and a spread of
+    # k m).  The sine table reads sin(2 pi r / n) with the argument rounded
+    # once, up to 4 eps off near a multiple of pi, and divides by 2 pi k m / n
+    eps = np.finfo(float).eps
+    kernel = LATTICE_KERNELS[name]
+    c = 2.0 * kernel.tau - 1.0 if kernel.kind == "tau" else 0.0
     m = np.arange(-(n // 2), n // 2 + 1)
     k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    z1, z2 = 2.0 * dx * m, np.fft.fftfreq(n, dx)
-    for lo in range(0, n, 256):
-        rows = slice(lo, lo + 256)
-        got = _sinc_lattice(k[rows], m, n)
-        assert got.dtype == np.float64
-        assert np.abs(got - np.sinc(np.multiply.outer(z2[rows], z1))).max() <= 5e-13
+    phi = _lattice_multiplier(kernel, m, n)
+    for dx in (1 / 16, 0.07):
+        z1, z2 = 2.0 * dx * m, np.fft.fftfreq(n, dx)
+        for lo in range(0, n, 256):
+            rows = slice(lo, lo + 256)
+            got, km = phi(rows), np.multiply.outer(k[rows], m)
+            ref = ambiguity_multiplier(kernel, z1[None, :], z2[rows, None])
+            if kernel.kind == "born_jordan":
+                assert got.dtype == np.float64
+                tol = 1e-15 + 8 * eps / np.where(km == 0, 1.0, np.abs(km) * (2 * np.pi / n))
+            else:
+                tol = 1e-15 + 4 * eps * np.pi * abs(c) * np.abs(km) * (2.0 / n)
+            assert (np.abs(got - ref) <= tol).all()
+    if kernel.kind != "born_jordan":
+        kms = np.unique(np.multiply.outer(k, m))
+        kms = np.r_[kms[:8], kms[-8:], kms[:: max(1, len(kms) // 48)]]
+        with mpmath.workdps(30):
+            exact = [complex(mpmath.expjpi(mpmath.mpf(c) * 2 * int(v) / n)) for v in kms]
+        lattice = _lattice_multiplier(kernel, kms, n)(slice(1, 2))[0]  # row k = 1: k m = m
+        assert np.abs(lattice - exact).max() <= 1e-15
+
+
+def test_operator_matrix_off_a_power_of_two():
+    # a symbol grid may have any even size; the lattice's k m mod n was a
+    # bit mask, right only on a power of two (Born-Jordan off by 10% at n = 12)
+    n, dx = 12, 0.25
+    rng = np.random.default_rng(n)
+    grid = PhaseSpaceGrid.centered(n, dx, n, 1 / (2 * n * dx))
+    a = Symbol(TFMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), grid))
+    for rule in (born_jordan_rule(), tau_rule(0.3)):
+        ref = operator_matrix(Symbol(symbol_filter_three_step(a.matrix, rule, conj=True)),
+                              weyl_rule())
+        assert sup_rel_error(operator_matrix(a, rule), ref) < TOL
+
+
+@pytest.mark.parametrize("at", ["origin", "row_n/4"])
+@pytest.mark.parametrize("n", [64, 512])
+def test_ghost_report_region_rows_are_bit_identical(monkeypatch, n, at):
+    # the report lag-transforms the region's rows alone, after the same
+    # correlation and the same full lag filter as cohen, so its region
+    # blocks, and the energies summed from them, are cohen's to the bit; a
+    # region across row n/4 has delta rows outside wigner's band, exactly 0
+    f = synth(SignalRecipe(kind="two_atoms", n=n, dx=16 / n, params={"dt": 1.0}))
+    grid = wigner_grid(f)
+    region = interference_region(0.0 if at == "origin" else grid.x_axis[n // 4], 0.0, grid)
+    kernels = [born_jordan_kernel(), tau_kernel(0.3)]
+    in_x = (grid.x_axis >= region.x_lo) & (grid.x_axis <= region.x_hi)
+    in_w = (grid.w_axis >= region.w_lo) & (grid.w_axis <= region.w_hi)
+    first, last = np.flatnonzero(in_x)[[0, -1]]
+    seen = []
+
+    def spy(out, band, rows=slice(None)):
+        seen.append(rows)
+        return _lag_step(out, band, rows)
+
+    monkeypatch.setattr(distributions, "_lag_step", spy)
+    reports = ghost_energy_report(f, kernels, region)
+    assert seen == [slice(first, last + 1)] * 3
+    monkeypatch.undo()
+    for kernel, report in zip([delta_kernel()] + kernels, reports):
+        full = cohen(f, f, kernel).values[np.ix_(in_x, in_w)]
+        rows = distributions._cohen_rows(f, f, kernel, slice(first, last + 1))
+        assert np.array_equal(rows[np.ix_(in_x, in_w)], full)
+        assert report.energy == float(np.sum(np.abs(full) ** 2) * grid.cell_measure)
+
+
+def _gaussian(n, lam, scale=1.0):
+    """e^{-pi lam x^2} on a 64-unit window (the benchmark's at n = 1024):
+    its tails underflow, so its products reach the subnormal range."""
+    f = synth(SignalRecipe(kind="gaussian", n=n, dx=64 / n, params={"lam": lam}))
+    return f.with_samples(f.samples * scale)
+
+
+@pytest.mark.parametrize("n, scale", [(64, 1.0), (256, 1.0), (1024, 1.0), (64, 1e-150),
+                                      (256, 1e-150)])
+def test_flushed_samples_stay_within_the_flush_bound(n, scale):
+    # the engines zero each sample below min(2^-510 / sqrt(min(scale, 1)),
+    # 2^-100 of its signal's peak) (the kept products are then normal
+    # numbers); what the zeroed samples carried is bounded by
+    # ``flushed_sample_bound``, the dropped lags and rows by
+    # ``dropped_lag_bound``, and the two add.  The bound stays far below the
+    # output: a signal whose peak is 1e-150 keeps its samples (an absolute
+    # floor alone would zero it whole), and its relative floor zeroes only
+    # products that underflow to 0 anyway, so its bound reads 0
+    f, g = _gaussian(n, 1.0, scale), _gaussian(n, 2.0, scale)
+    for name in ("wigner", "bj", "tau0.3"):
+        for h in (None, g):
+            if name == "wigner":
+                out, ref = wigner(f, h).values, wigner_direct_sum(f, f if h is None else h)
+                flushed = flushed_sample_bound(f, h, 2 * f.dx)
+            else:
+                out, ref = cohen(f, h, KERNELS[name]).values, cohen_full_lag(f, h, KERNELS[name])
+                flushed = flushed_sample_bound(f, h, 2 * f.dx / n)
+            assert flushed <= 1e-20 * np.abs(ref).max()
+            assert flushed > 0.0 or scale < 1.0
+            bound = dropped_lag_bound(f, h) + flushed + 1e-14 * np.abs(ref).max()
+            assert np.abs(out - ref).max() <= bound, name
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+def test_cross_wigner_of_gaussians_holds_no_subnormal(lam):
+    # the benchmark's cross pair at n = 1024: tails that underflow made
+    # 10,000 to 20,000 subnormal output entries, each one slow in every pass
+    # (with lam = 1 the imaginary parts are rounding noise about 0, and some
+    # of that noise is subnormal, so the entries' magnitudes are checked)
+    w = np.abs(wigner(_gaussian(1024, 1.0), _gaussian(1024, lam)).values)
+    assert not ((w != 0.0) & (w < np.finfo(float).tiny)).any()
 
 
 def _stft_call(f):
