@@ -43,11 +43,6 @@ the lag, r_i[-m] = conj(r_i[m]), and the Born-Jordan multiplier keeps that
 symmetry (it is real and even), so ``wigner`` and ``born_jordan`` fill
 only the n/4 + 1 lags m = 0..n/4 and finish each row with a real inverse
 FFT into a float64 output: half the lag work, half the memory.
-On the engines' lattice the product z1 z2 is exactly 2 k m / n for integer
-time frequency k and lag m, so every multiplier is read from tables at the
-integer k m, not evaluated from rounded products: Born-Jordan's sinc(z1 z2)
-from a sine table, the tau phase from two unit-modulus tables, one per
-quotient and one per residue of k m mod n.
 """
 
 from __future__ import annotations
@@ -56,16 +51,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridError, WindowError
-from .grid import PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, assert_central_support
-from .kernels import (
-    BORN_JORDAN,
-    DELTA,
-    TAU,
-    CohenKernel,
-    born_jordan_kernel,
-    delta_kernel,
-    theta_sigma_cell_averages,
-)
+from .grid import (PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, _centered_dft,
+                   assert_central_support)
+from .kernels import (BORN_JORDAN, CohenKernel, _is_identity, _lag_filter, _lattice_multiplier,
+                      born_jordan_kernel, delta_kernel, theta_sigma_cell_averages)
 
 
 def stft(f: SampledSignal, window: SampledSignal) -> TFMatrix:
@@ -74,28 +63,21 @@ def stft(f: SampledSignal, window: SampledSignal) -> TFMatrix:
     Column i holds dx * DFT_y[f(y) conj(window(y - x_i))] on the centered
     frequency axis with spacing 1/(n dx).  Window shifts are circular; the
     central-half support convention keeps wrapped products at zero.  Row i
-    of the circulant window is a view into the tiled conjugate window, the
-    pre-phase of the centered axis is the sign (-1)^j on f, and the FFT
-    runs in place on the one n x n product.  Raises GridError off the
-    signal's grid and WindowError for a window of zero energy.
+    of the circulant window is a view into the tiled conjugate window, and
+    the centered DFT of ``grid`` runs on the one n x n product with f.
+    Raises GridError off the signal's grid and WindowError for a window of
+    zero energy.
     """
     if not f.same_grid(window):
         raise GridError("signal and window must share one grid")
     if window.energy() <= 0.0:
         raise WindowError("window energy must be positive")
     n = f.n
-    dx = f.dx
-    i0 = int(round(-f.x0 / dx)) % n  # index of x = 0 on the axis
+    i0 = int(round(-f.x0 / f.dx)) % n  # index of x = 0 on the axis
     # rows[s, j] = conj(window)[(s + j) % n]; row i needs s = i0 - i (mod n)
     rows = sliding_window_view(np.tile(np.conj(window.samples), 3), n)
-    signed = f.samples.copy()
-    signed[1::2] *= -1.0
-    vals = rows[i0 + n : i0 : -1] * signed
-    np.fft.fft(vals, axis=1, out=vals)
-    dw = 1.0 / (n * dx)
-    w0 = -n * dw / 2.0
-    vals *= dx * np.exp(-2j * np.pi * f.x0 * (w0 + np.arange(n) * dw))
-    grid = PhaseSpaceGrid(nx=n, x0=f.x0, dx=dx, nw=n, w0=w0, dw=dw)
+    vals, w0, dw = _centered_dft(f.samples, f.x0, f.dx, rows=rows[i0 + n : i0 : -1])
+    grid = PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=w0, dw=dw)
     return TFMatrix(vals, grid, PHASE_SPACE)
 
 
@@ -185,66 +167,13 @@ def _lag_step(out: np.ndarray, band: np.ndarray, rows=slice(None)) -> np.ndarray
     return out
 
 
-def _lattice_multiplier(kernel: CohenKernel, lags: np.ndarray, n: int):
-    """The kernel's multiplier at (2 lags dx, k / (n dx)), z1 z2 = 2 k m / n
-    whatever dx is, on a block of rows k of an n-point time FFT, as a
-    callable of the block: read from tables at the integer k m = a n + r
-    (0 <= r < n), any even n.  Born-Jordan is sin_table[r] / (2 pi k m / n),
-    1 at k m = 0; tau (delta: tau = 1/2) is T_a[a] T_r[r], each turn count
-    reduced to [-1/2, 1/2] exactly (a 27-bit head of 2 tau - 1 times a is
-    exact), so no phase of up to pi n / 2 is rounded at full size."""
-    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    if kernel.kind == BORN_JORDAN:
-        table = np.sin((2.0 * np.pi / n) * np.arange(n))
-
-        def phi(rows):
-            km = np.multiply.outer(k[rows], lags)
-            den = km * (2.0 * np.pi / n)
-            km -= km // n * n
-            out = table[km]
-            # k m = 0 only on the row k = 0 and the column m = 0, where sinc is 1
-            out[k[rows] == 0] = den[k[rows] == 0] = 1.0
-            out[:, lags == 0] = den[:, lags == 0] = 1.0
-            out /= den
-            return out
-        return phi
-    c = 2.0 * kernel.tau - 1.0 if kernel.kind == TAU else 0.0
-    head = np.round(c * 2.0**26) / 2.0**26
-    a0 = -(n // 4) - 1  # the least a: k m >= -n^2 / 4
-    a = np.arange(a0, n // 4 + 1)
-    t_a = np.exp(2j * np.pi * (head * a - np.round(head * a) + (c - head) * a))
-    r = c * np.arange(n) / n
-    t_r = np.exp(2j * np.pi * (r - np.round(r)))
-
-    def phi(rows):
-        km = np.multiply.outer(k[rows], lags) - a0 * n  # (a - a0) n + r >= 0
-        a = km // n
-        km -= a * n
-        out = t_r[km]
-        out *= t_a[a]
-        return out
-    return phi
-
-
-def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
-    """In place along axis 0: time FFT, rows times ``mult(rows)`` in 16 row
-    blocks (no n x n multiplier at once), inverse time FFT with numpy's
-    ``norm``."""
-    np.fft.fft(r, axis=0, out=r)
-    step = -(-len(r) // 16)
-    for k in range(0, len(r), step):
-        rows = slice(k, k + step)
-        r[rows] *= mult(rows)
-    return np.fft.ifft(r, axis=0, norm=norm, out=r)
-
-
 def _cohen_rows(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel,
                 rows=slice(None)) -> np.ndarray:
     """``cohen``'s values, only the output ``rows`` lag-transformed (every
     other row then holds band bytes); kernels whose multiplier is exactly
-    one (delta, tau = 1/2) take ``wigner``'s central-row route."""
+    one take ``wigner``'s central-row route."""
     n, diag = f.n, g is None or g is f
-    if kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5):
+    if _is_identity(kernel):
         out, band = _correlation(f, g, 2.0 * f.dx, diag, slice(n // 4, 3 * n // 4))
     else:
         half = diag and kernel.kind == BORN_JORDAN

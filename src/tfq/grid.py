@@ -32,6 +32,13 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _same_axis(n: int, x0: float, dx: float, m: int, y0: float, dy: float) -> bool:
+    """The one axis rule of every grid check: equal counts, spacings within
+    relative ``_ORIGIN_RTOL``, origins within ``_ORIGIN_RTOL`` dx."""
+    return (n == m and np.isclose(dx, dy, rtol=_ORIGIN_RTOL, atol=0)
+            and np.isclose(x0, y0, rtol=0, atol=_ORIGIN_RTOL * dx))
+
+
 def _check_spacing(dx: float, x0: float = 0.0) -> None:
     if not (dx > 0 and np.isfinite(dx) and np.isfinite(x0)):
         raise GridError("dx must be positive and finite, x0 finite")
@@ -79,11 +86,7 @@ class SampledSignal:
         return complex(np.sum(self.samples * np.conj(other.samples)) * self.dx)
 
     def same_grid(self, other: "SampledSignal") -> bool:
-        return (
-            self.n == other.n
-            and np.isclose(self.dx, other.dx, rtol=_ORIGIN_RTOL, atol=0)
-            and np.isclose(self.x0, other.x0, rtol=0, atol=_ORIGIN_RTOL * self.dx)
-        )
+        return _same_axis(self.n, self.x0, self.dx, other.n, other.x0, other.dx)
 
     def with_samples(self, samples) -> "SampledSignal":
         return replace(self, samples=np.asarray(samples, dtype=complex))
@@ -162,27 +165,11 @@ class PhaseSpaceGrid:
         return self.dx * self.dw
 
     def is_centered(self) -> bool:
-        return np.isclose(
-            self.x0, -self.nx * self.dx / 2.0, rtol=0, atol=_ORIGIN_RTOL * self.dx
-        ) and np.isclose(
-            self.w0, -self.nw * self.dw / 2.0, rtol=0, atol=_ORIGIN_RTOL * self.dw
-        )
-
-    def dual(self) -> "PhaseSpaceGrid":
-        """Grid carrying the symplectic transform: (z1, z2) dual to (w, x)."""
-        dz1 = 1.0 / (self.nw * self.dw)
-        dz2 = 1.0 / (self.nx * self.dx)
-        return PhaseSpaceGrid.centered(self.nw, dz1, self.nx, dz2)
+        return self.close_to(PhaseSpaceGrid.centered(self.nx, self.dx, self.nw, self.dw))
 
     def close_to(self, other: "PhaseSpaceGrid") -> bool:
-        return (
-            self.nx == other.nx
-            and self.nw == other.nw
-            and np.isclose(self.dx, other.dx, rtol=_ORIGIN_RTOL, atol=0)
-            and np.isclose(self.dw, other.dw, rtol=_ORIGIN_RTOL, atol=0)
-            and np.isclose(self.x0, other.x0, rtol=0, atol=_ORIGIN_RTOL * self.dx)
-            and np.isclose(self.w0, other.w0, rtol=0, atol=_ORIGIN_RTOL * self.dw)
-        )
+        return (_same_axis(self.nx, self.x0, self.dx, other.nx, other.x0, other.dx)
+                and _same_axis(self.nw, self.w0, self.dw, other.nw, other.w0, other.dw))
 
 
 @dataclass(frozen=True)
@@ -233,32 +220,39 @@ class TFMatrix:
 # ---------------------------------------------------------------------------
 # one-dimensional transform
 
+def _centered_dft(samples: np.ndarray, x0: float, dx: float, inverse: bool = False,
+                  rows: np.ndarray | None = None):
+    """``dft`` of the samples on x0 + j dx, or with ``rows`` of each row of
+    rows times them (``stft``), along the last axis into a new array, and
+    the centered output axis (o0, do), do = 1/(n dx).  On it the pre-phase
+    e^{-+2 pi i (j dx) o0} is (-1)^j either way, taken on the samples; only
+    the post-phase of x0 is a phase vector, applied with the factor dx."""
+    n = len(samples)
+    do = 1.0 / (n * dx)
+    o0 = -n * do / 2.0
+    v = samples.copy()
+    v[1::2] *= -1.0
+    v = v if rows is None else rows * v
+    if inverse:
+        np.fft.ifft(v, axis=-1, norm="forward", out=v)
+    else:
+        np.fft.fft(v, axis=-1, out=v)
+    v *= dx * np.exp((1.0 if inverse else -1.0) * 2j * np.pi * x0 * (o0 + np.arange(n) * do))
+    return v, o0, do
+
+
 def dft(signal: SampledSignal, direction: str = "forward") -> SampledSignal:
     """Unitary-convention discrete Fourier transform of a sampled signal.
 
     Forward output lives on the centered frequency axis with spacing
     1/(n dx) and carries the Riemann factor dx; the inverse undoes it, so
-    dft(dft(f), "inverse") == f up to rounding.  On the centered output axis
-    the pre-phase e^{-+2 pi i (j dx) o0} is (-1)^j in both directions; only
-    the post-phase of the input origin x0 is a phase vector.
+    dft(dft(f), "inverse") == f up to rounding.
     """
-    n = signal.n
-    if not _is_power_of_two(n):
+    if not _is_power_of_two(signal.n):
         raise SizeError("dft requires a power-of-two length")
     if direction not in ("forward", "inverse"):
         raise GridError(f"unknown dft direction {direction!r}")
-    dx = signal.dx
-    do = 1.0 / (n * dx)
-    o0 = -n * do / 2.0
-    spec = signal.samples.copy()
-    spec[1::2] *= -1.0
-    if direction == "forward":
-        np.fft.fft(spec, out=spec)
-        sign = -1.0
-    else:
-        np.fft.ifft(spec, norm="forward", out=spec)
-        sign = 1.0
-    spec *= dx * np.exp(sign * 2j * np.pi * signal.x0 * (o0 + np.arange(n) * do))
+    spec, o0, do = _centered_dft(signal.samples, signal.x0, signal.dx, direction == "inverse")
     return SampledSignal(spec, x0=o0, dx=do)
 
 
@@ -288,4 +282,5 @@ def symplectic_fourier(m: TFMatrix) -> TFMatrix:
     v[1::2] *= -1.0  # post-phases (-1)^(k + l)
     v[:, 1::2] *= -1.0
     tag = AMBIGUITY if m.domain_tag == PHASE_SPACE else PHASE_SPACE
-    return TFMatrix(v.T, g.dual(), tag)
+    dual = PhaseSpaceGrid.centered(g.nw, 1.0 / (g.nw * g.dw), g.nx, 1.0 / (g.nx * g.dx))
+    return TFMatrix(v.T, dual, tag)

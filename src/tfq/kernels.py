@@ -13,6 +13,12 @@ them.  ``theta_sigma_cell_averages`` integrates it exactly over grid cells
 (closed-form antiderivative, a function of c = 4 pi x y at each distinct
 |cell corner|), which is what the direct convolution route needs to
 coexist with the spectral multiplier route.
+
+On the engines' lattice the product z1 z2 is exactly 2 k m / n for integer
+time frequency k and lag m, so every multiplier is read from tables at the
+integer k m, not evaluated from rounded products: Born-Jordan's sinc(z1 z2)
+from a sine table, the tau phase from two unit-modulus tables, one per
+quotient and one per residue of k m mod n.
 """
 
 from __future__ import annotations
@@ -79,6 +85,67 @@ def ambiguity_multiplier(kernel: CohenKernel, z1, z2):
     if kernel.kind == BORN_JORDAN:
         return np.sinc(z1 * z2).astype(complex)
     return np.exp(1j * np.pi * (2.0 * kernel.tau - 1.0) * z1 * z2)
+
+
+def _is_identity(kernel: CohenKernel) -> bool:
+    """Delta and tau = 1/2: the kernels whose multiplier is exactly 1."""
+    return kernel.kind == DELTA or (kernel.kind == TAU and kernel.tau == 0.5)
+
+
+def _lattice_multiplier(kernel: CohenKernel, lags: np.ndarray, n: int):
+    """The kernel's multiplier at (2 lags dx, k / (n dx)), z1 z2 = 2 k m / n
+    whatever dx is, on a block of rows k of an n-point time FFT, as a
+    callable of the block: read from tables at the integer k m = a n + r
+    (0 <= r < n), any even n.  Born-Jordan is sin_table[r] / (2 pi k m / n),
+    1 at k m = 0, the table folded onto sin(2 pi s / n), |s| <= n/4 (s = r,
+    n/2 - r or r - n): within a few ulp, and exactly 0 at r = n/2.  Tau
+    (delta: tau = 1/2) is T_a[a] T_r[r], each turn count reduced to
+    [-1/2, 1/2] exactly (a 27-bit head of 2 tau - 1 times a is exact), so
+    no phase of up to pi n / 2 is rounded at full size."""
+    k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    if kernel.kind == BORN_JORDAN:
+        u = (np.arange(n) + n // 4) % n - n // 4  # r moved onto [-n // 4, n - n // 4)
+        table = np.sin((2.0 * np.pi / n) * np.minimum(u, n // 2 - u))
+
+        def phi(rows):
+            km = np.multiply.outer(k[rows], lags)
+            den = km * (2.0 * np.pi / n)
+            km -= km // n * n
+            out = table[km]
+            # k m = 0 only on the row k = 0 and the column m = 0, where sinc is 1
+            out[k[rows] == 0] = den[k[rows] == 0] = 1.0
+            out[:, lags == 0] = den[:, lags == 0] = 1.0
+            out /= den
+            return out
+        return phi
+    c = 2.0 * kernel.tau - 1.0 if kernel.kind == TAU else 0.0
+    head = np.round(c * 2.0**26) / 2.0**26
+    a0 = -(n // 4) - 1  # the least a: k m >= -n^2 / 4
+    a = np.arange(a0, n // 4 + 1)
+    t_a = np.exp(2j * np.pi * (head * a - np.round(head * a) + (c - head) * a))
+    r = c * np.arange(n) / n
+    t_r = np.exp(2j * np.pi * (r - np.round(r)))
+
+    def phi(rows):
+        km = np.multiply.outer(k[rows], lags) - a0 * n  # (a - a0) n + r >= 0
+        a = km // n
+        km -= a * n
+        out = t_r[km]
+        out *= t_a[a]
+        return out
+    return phi
+
+
+def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
+    """In place along axis 0: time FFT, rows times ``mult(rows)`` in 16 row
+    blocks (no n x n multiplier at once), inverse time FFT with numpy's
+    ``norm``."""
+    np.fft.fft(r, axis=0, out=r)
+    step = -(-len(r) // 16)
+    for k in range(0, len(r), step):
+        rows = slice(k, k + step)
+        r[rows] *= mult(rows)
+    return np.fft.ifft(r, axis=0, norm=norm, out=r)
 
 
 # ---------------------------------------------------------------------------

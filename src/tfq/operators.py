@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DomainError, GridError
 from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
-from .distributions import _lag_filter, _lattice_multiplier, cohen, wigner_grid
-from .kernels import (DELTA, CohenKernel, ambiguity_multiplier, born_jordan_kernel,
-                      delta_kernel, tau_kernel)
+from .distributions import cohen, wigner_grid
+from .kernels import (CohenKernel, _is_identity, _lag_filter, _lattice_multiplier,
+                      ambiguity_multiplier, born_jordan_kernel, delta_kernel, tau_kernel)
 
 # a quantization rule is its Cohen kernel
 weyl_rule = delta_kernel
@@ -85,8 +85,8 @@ def weak_apply(a: Symbol, rule: CohenKernel, f: SampledSignal, g: SampledSignal)
 def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u].
 
-    The Weyl lag kernel of a is one inverse FFT over w and a sign; any
-    other rule filters it along time with the conjugate multiplier.
+    The Weyl lag kernel of a is one inverse FFT over w and a sign; a rule
+    whose multiplier is not exactly 1 filters it along time by its conjugate.
 
     Raises:
         GridError: unless dw = 1/(2 n dx), the one spacing on which the
@@ -101,7 +101,7 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     lag = np.fft.ifft(a.matrix.values, axis=1)
     lag *= 2.0 * n * g.dx * g.dw
     lag[:, 1::2] *= -1.0
-    if rule.kind != DELTA:
+    if not _is_identity(rule):
         phi = _lattice_multiplier(rule, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), n)
         _lag_filter(lag, lambda rows: np.conj(phi(rows)))
     # lag m fills M[i + m, i - m], i in [|m|, n - |m|): one stride-(n + 1)

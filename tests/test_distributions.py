@@ -315,6 +315,11 @@ def test_tau_half_kernel_identical_to_delta(rng):
     a = cohen(f, f, tau_kernel(0.5))
     b = cohen(f, f, delta_kernel())
     assert np.abs(a.values - b.values).max() == 0.0
+    # wigner itself, bit for bit, on the diagonal and on the cross route
+    g = band_limited_signal(rng, n=256)
+    for h in (None, g):
+        got, ref = cohen(f, h, tau_kernel(0.5)).values, wigner(f, h).values
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_stft_grid_is_dft_compatible():

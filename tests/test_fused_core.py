@@ -52,7 +52,8 @@ from tfq import (
     wigner_grid,
 )
 from tfq import distributions
-from tfq.distributions import _lag_filter, _lag_step, _lattice_multiplier
+from tfq.distributions import _lag_step
+from tfq.kernels import _lag_filter, _lattice_multiplier
 from tfq.synth import SignalRecipe, synth
 
 from conftest import band_limited_signal, sup_rel_error
@@ -408,8 +409,10 @@ def test_lattice_multiplier_matches_ambiguity_multiplier(name, n):
     # pi n / 2) with about four roundings, so it may be 4 eps |phase| off;
     # the lattice reduces the turns to [-1/2, 1/2] first, so against the exact phase
     # it is within 1e-15 (checked with mpmath at the extreme and a spread of
-    # k m).  The sine table reads sin(2 pi r / n) with the argument rounded
-    # once, up to 4 eps off near a multiple of pi, and divides by 2 pi k m / n
+    # k m).  The sine table is folded onto sin(2 pi s / n), |s| <= n/4, its
+    # argument rounded once, and divided by 2 pi k m / n: against mpmath at
+    # every residue of k m mod n (and a spread up to n^2 / 4) it is within
+    # 4 eps relative, and exactly 0 where sinc(2 k m / n) is (k m = n/2 mod n)
     eps = np.finfo(float).eps
     kernel = LATTICE_KERNELS[name]
     c = 2.0 * kernel.tau - 1.0 if kernel.kind == "tau" else 0.0
@@ -428,7 +431,14 @@ def test_lattice_multiplier_matches_ambiguity_multiplier(name, n):
             else:
                 tol = 1e-15 + 4 * eps * np.pi * abs(c) * np.abs(km) * (2.0 / n)
             assert (np.abs(got - ref) <= tol).all()
-    if kernel.kind != "born_jordan":
+    if kernel.kind == "born_jordan":
+        spread = np.linspace(-n * n // 4, n * n // 4, 65).astype(np.int64)
+        kms = np.r_[np.arange(-n, n + 1), spread]
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.sincpi(mpmath.mpf(2 * int(v)) / n)) for v in kms])
+        lattice = _lattice_multiplier(kernel, kms, n)(slice(1, 2))[0]  # row k = 1: k m = m
+        assert (np.abs(lattice - exact) <= 4 * eps * np.abs(exact)).all()
+    else:
         kms = np.unique(np.multiply.outer(k, m))
         kms = np.r_[kms[:8], kms[-8:], kms[:: max(1, len(kms) // 48)]]
         with mpmath.workdps(30):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,36 @@ def test_signal_from_function_rejects_infinite_dx():
     # checked before the centred axis is built, where inf * 0 would warn
     with pytest.raises(GridError, match="dx must be positive and finite"):
         signal_from_function(lambda x: np.exp(-np.pi * x**2), 64, np.inf)
+
+
+# every grid check reads one axis rule: equal counts, spacings within a
+# relative 1e-9, origins within 1e-9 of the spacing; each case sits a
+# factor of two inside or outside one of those edges
+AXIS_EDGES = {  # (count factor, origin offset / dx, spacing ratio - 1), accepted
+    "origin_inside": ((1, 0.5e-9, 0.0), True),
+    "origin_outside": ((1, 2e-9, 0.0), False),
+    "spacing_inside": ((1, 0.0, 0.5e-9), True),
+    "spacing_outside": ((1, 0.0, 2e-9), False),
+    "count": ((2, 0.0, 0.0), False),
+}
+
+
+@pytest.mark.parametrize("case", list(AXIS_EDGES))
+def test_axis_rule_edges(case):
+    (factor, offset, ratio), accepted = AXIS_EDGES[case]
+    n, dx, x0 = 64, 0.07, -2.1  # an off-centre origin
+    f = SampledSignal(np.ones(n), x0=x0, dx=dx)
+    moved = SampledSignal(np.ones(factor * n), x0=x0 + offset * dx, dx=dx * (1 + ratio))
+    assert f.same_grid(moved) == accepted
+    grid = PhaseSpaceGrid(nx=n, x0=x0, dx=dx, nw=n, w0=0.3, dw=1.3)
+    for nx, x0_, dx_, nw, w0, dw in (
+            (factor * n, x0 + offset * dx, dx * (1 + ratio), n, 0.3, 1.3),
+            (n, x0, dx, factor * n, 0.3 + offset * 1.3, 1.3 * (1 + ratio))):
+        assert grid.close_to(PhaseSpaceGrid(nx, x0_, dx_, nw, w0, dw)) == accepted
+    # a centered grid stays centered at any spacing: is_centered meets the
+    # origin and the count edges
+    c = PhaseSpaceGrid.centered(n, dx, n, 1.3)
+    if ratio == 0.0:
+        for moved_grid in (replace(c, nx=factor * n, x0=c.x0 + offset * dx),
+                           replace(c, nw=factor * n, w0=c.w0 + offset * 1.3)):
+            assert moved_grid.is_centered() == accepted
