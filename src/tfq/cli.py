@@ -287,7 +287,7 @@ def run(argv) -> int:
         kind = getattr(args, "experiment", args.command)  # experiments report their own kind
         text = json.dumps({"schema_version": "1", "report": kind, **fields}, indent=2)
         if args.command == "experiment" and args.output:
-            tfq_io._atomic_write(args.output, [text.encode()])
+            tfq_io._atomic_write({args.output: [text.encode()]})
     except AccuracyError as exc:
         print(f"accuracy error: {exc} (achieved {exc.achieved:.3e})", file=sys.stderr)
         return 4

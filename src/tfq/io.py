@@ -6,7 +6,11 @@ Matrices are a single binary file: a 4-byte little-endian header length,
 a UTF-8 JSON header describing the grid, then row-major interleaved
 (re, im) float64 little-endian values, which is the memory layout of a
 little-endian complex128 array: a real matrix is written with imag 0 and
-reads back complex.  All writes are atomic (temporary file + rename).
+reads back complex.  A write puts each file in a new temporary beside it
+and renames them only once all are written, a signal's sidecar before its
+CSV.  The kernel sets modes (umask, default ACLs); the process umask is
+never touched.  A crash between the two renames, or a CSV path that is a
+directory, can leave a new sidecar by the old CSV.  No fsync: not durable.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import csv
 import json
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,23 +30,22 @@ MATRIX_VERSION = 1
 MATRIX_DTYPE = "float64-le-interleaved"
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write the byte buffers ``chunks`` in order to a temporary file, then
-    rename it onto ``path``."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
-    umask = os.umask(0)
-    os.umask(umask)
+def _atomic_write(files: dict) -> None:
+    """Write ``{path: byte chunks}`` as the module docstring says, renaming in the mapping's order."""
+    made = []  # a temporary is ours once its O_EXCL open has returned, never before
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            # mkstemp creates 0600; give the file the mode open() would
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-        os.replace(tmp, path)
+        for path, chunks in files.items():
+            path = Path(path)
+            tmp = Path(f"{path}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            made.append((tmp, path))
+            with open(fd, "wb") as fh:
+                fh.writelines(chunks)
+        for tmp, path in made:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in made:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -62,15 +64,12 @@ def sidecar_path(csv_path) -> Path:
 
 
 def write_signal(sig: SampledSignal, path, meta: dict | None = None) -> None:
-    path = Path(path)
     buf = ["index,re,im"]
     for i, v in enumerate(sig.samples):
         buf.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    _atomic_write(path, [("\n".join(buf) + "\n").encode()])
-    side = {"x0": sig.x0, "dx": sig.dx}
-    if meta:
-        side.update(meta)
-    _atomic_write(sidecar_path(path), [json.dumps(side, indent=2).encode()])
+    side = {"x0": sig.x0, "dx": sig.dx, **(meta or {})}
+    _atomic_write({sidecar_path(path): [json.dumps(side, indent=2).encode()],
+                   path: [("\n".join(buf) + "\n").encode()]})
 
 
 def read_signal(path) -> SampledSignal:
@@ -111,7 +110,7 @@ def write_matrix(m: TFMatrix, path) -> None:
     }
     head = json.dumps(header).encode()
     values = np.ascontiguousarray(m.values, "<c16")
-    _atomic_write(Path(path), [struct.pack("<I", len(head)), head, values])
+    _atomic_write({path: [struct.pack("<I", len(head)), head, values]})
 
 
 def read_matrix(path) -> TFMatrix:

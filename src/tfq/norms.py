@@ -163,8 +163,7 @@ def fit_loglog(lams: Sequence[float], norms: Sequence[float]) -> ScalingFit:
     design = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
     resid = ly - design @ coef
-    dof = len(lams) - 2
-    scale = np.sum(resid**2) / dof if dof > 0 else 0.0
+    scale = np.sum(resid**2) / (len(lams) - 2)  # at least 4 degrees of freedom
     stderr = float(np.sqrt(scale / np.sum((lx - lx.mean()) ** 2)))
     return ScalingFit(
         exponent=float(coef[0]),

@@ -283,17 +283,52 @@ def test_row_field_count_exits_3(tmp_path, capsys, row):
 
 
 def test_written_files_get_umask_mode(tmp_path):
-    old = os.umask(0o022)
-    try:
-        sig = tmp_path / "f.csv"
-        report = tmp_path / "ghost.json"
-        assert run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)]) == 0
-        assert run(["experiment", "ghost", "--output", str(report)]) == 0
-    finally:
-        os.umask(old)
-    for path in (sig, tfq_io.sidecar_path(sig), report):
-        assert stat.S_IMODE(path.stat().st_mode) == 0o644
-    assert json.loads(report.read_text())["report"] == "ghost"
+    # the mode a plain open gives, and the process umask as it was
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        sig = tmp_path / f"f{umask:o}.csv"
+        report = tmp_path / f"ghost{umask:o}.json"
+        old = os.umask(umask)
+        try:
+            assert run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)]) == 0
+            assert run(["experiment", "ghost", "--output", str(report)]) == 0
+        finally:
+            after = os.umask(old)
+        assert after == umask
+        for path in (sig, tfq_io.sidecar_path(sig), report):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, (path, umask)
+        assert json.loads(report.read_text())["report"] == "ghost"
+
+
+def test_writes_never_touch_the_process_umask(tmp_path, monkeypatch):
+    # the umask belongs to the whole process: reading it means setting it
+    from tfq import wigner
+
+    sig = tmp_path / "f.csv"
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 0
+
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    f = tfq_io.read_signal(sig)
+    tfq_io.write_signal(f, tmp_path / "g.csv")
+    tfq_io.write_matrix(wigner(f, f), tmp_path / "w.mat")
+    assert run(["experiment", "scaling", "--family", "gaussian_mod", "--p", "2", "--q", "2",
+                "--lambda-min", "16", "--lambda-max", "64", "--points", "6",
+                "--output", str(tmp_path / "s.json")]) == 0
+    assert tfq_io.read_signal(tmp_path / "g.csv").samples.tolist() == f.samples.tolist()
+    assert json.loads((tmp_path / "s.json").read_text())["report"] == "scaling"
+
+
+def test_synth_onto_a_directory_sidecar_leaves_no_csv(tmp_path, capsys):
+    # the sidecar is renamed first; its rename fails, so the CSV never lands
+    sig = tmp_path / "x.csv"
+    tfq_io.sidecar_path(sig).mkdir()
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
 
 
 @pytest.mark.parametrize("drop", ["dx", "x0"])

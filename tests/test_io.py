@@ -1,7 +1,13 @@
-"""Matrix files: copy-free writes and reads, real matrices, header checks."""
+"""Matrix files: copy-free writes and reads, real matrices, header checks;
+the one write primitive: all temporaries before any rename, modes from the
+kernel."""
 
 import json
+import os
+import stat
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -99,6 +105,11 @@ def test_read_matrix_checks_payload_size(tmp_path, count):
     assert tfq_io.read_matrix(_matrix_file(tmp_path / "b.mat", 4, 4, 16)).values.shape == (4, 4)
 
 
+def _failing_chunks():
+    yield b"partial"
+    raise RuntimeError("disk on fire")
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_failed_atomic_write_leaves_no_file_behind(tmp_path, existing):
     # a write that fails mid-stream removes its temporary file and leaves the
@@ -106,13 +117,70 @@ def test_failed_atomic_write_leaves_no_file_behind(tmp_path, existing):
     target = tmp_path / "out.mat"
     if existing:
         target.write_bytes(b"old")
-
-    def chunks():
-        yield b"partial"
-        raise RuntimeError("disk on fire")
-
     with pytest.raises(RuntimeError, match="disk on fire"):
-        tfq_io._atomic_write(target, chunks())
+        tfq_io._atomic_write({target: _failing_chunks()})
     assert sorted(p.name for p in tmp_path.iterdir()) == (["out.mat"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old"
+
+
+def test_failed_second_file_replaces_neither(tmp_path):
+    # every temporary is written before any rename: the first file's
+    # complete temporary is removed, not renamed
+    first, second = tmp_path / "a.json", tmp_path / "a.csv"
+    first.write_bytes(b"old a")
+    second.write_bytes(b"old b")
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        tfq_io._atomic_write({first: [b"new a"], second: _failing_chunks()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
+    assert first.read_bytes() == b"old a" and second.read_bytes() == b"old b"
+
+
+def test_temporary_name_clash_deletes_nothing(tmp_path, monkeypatch):
+    # a temporary name that exists already is not ours: the O_EXCL open
+    # fails, and the file that held the name keeps its bytes
+    target = tmp_path / "out.mat"
+    monkeypatch.setattr(os, "urandom", lambda k: bytes(k))
+    theirs = tmp_path / f"out.mat.{bytes(6).hex()}.tmp"
+    theirs.write_bytes(b"theirs")
+    with pytest.raises(FileExistsError):
+        tfq_io._atomic_write({target: [b"ours"]})
+    assert sorted(p.name for p in tmp_path.iterdir()) == [theirs.name]
+    assert theirs.read_bytes() == b"theirs"
+
+
+def test_signal_pair_is_not_torn(tmp_path):
+    # the sidecar and the CSV are both written before either is renamed,
+    # the sidecar first: when its rename fails the old CSV is untouched
+    sig = tmp_path / "f.csv"
+    tfq_io.write_signal(synth(SignalRecipe(kind="gaussian", n=64, dx=0.25)), sig)
+    old = sig.read_bytes()
+    side = tfq_io.sidecar_path(sig)
+    side.unlink()
+    side.mkdir()
+    with pytest.raises(OSError):
+        tfq_io.write_signal(synth(SignalRecipe(kind="gabor_atom", n=64, dx=0.25)), sig)
+    assert sig.read_bytes() == old
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_concurrent_writers_keep_the_umask(tmp_path):
+    # writer threads share the process umask: no write may change it, and
+    # each file gets the mode a plain open gives
+    f = synth(SignalRecipe(kind="gaussian", n=64, dx=0.25))
+    paths = [tmp_path / f"s{k}.csv" for k in range(8)]
+    threads = [threading.Thread(target=tfq_io.write_signal, args=(f, p)) for p in paths]
+    old, interval = os.umask(0o022), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        after = os.umask(old)
+    assert after == 0o022 and not any(t.is_alive() for t in threads)
+    for p in paths:
+        for q in (p, tfq_io.sidecar_path(p)):
+            assert stat.S_IMODE(q.stat().st_mode) == 0o644, q
