@@ -1,7 +1,8 @@
 """File formats.
 
 Signals travel as CSV with header ``index,re,im`` plus a JSON sidecar
-(`<name>.json` next to the CSV) holding ``{"x0": ..., "dx": ...}``.
+(`<name>.json` next to the CSV) holding ``{"x0": ..., "dx": ...}``; a CSV
+named ``*.json`` would be its own sidecar, and is refused.
 Matrices are a single binary file: a 4-byte little-endian header length,
 a UTF-8 JSON header describing the grid, then row-major interleaved
 (re, im) float64 little-endian values, which is the memory layout of a
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
 from .grid import AMBIGUITY, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
 
 MATRIX_FORMAT = "tfq-matrix"
@@ -64,11 +66,14 @@ def sidecar_path(csv_path) -> Path:
 
 
 def write_signal(sig: SampledSignal, path, meta: dict | None = None) -> None:
+    path, side = Path(path), sidecar_path(path)
+    if side == path:
+        raise DomainError(f"{path}: a signal's CSV cannot end in .json, the name of its sidecar")
     buf = ["index,re,im"]
     for i, v in enumerate(sig.samples):
         buf.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    side = {"x0": sig.x0, "dx": sig.dx, **(meta or {})}
-    _atomic_write({sidecar_path(path): [json.dumps(side, indent=2).encode()],
+    head = {"x0": sig.x0, "dx": sig.dx, **(meta or {})}
+    _atomic_write({side: [json.dumps(head, indent=2).encode()],
                    path: [("\n".join(buf) + "\n").encode()]})
 
 

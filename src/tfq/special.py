@@ -5,18 +5,23 @@ on two branches, split by ``_on_branches``, which also serves the
 Born-Jordan cell-average corners of ``kernels``:
 
 * ``series``  gamma + log t + sum_k (-t^2)^k / (2k (2k)!) for Ci, and
-              sum_k (-1)^k t^(2k+1) / ((2k+1) (2k+1)!) for Si, for t <= 4
+              sum_k (-1)^k t^(2k+1) / ((2k+1) (2k+1)!) for Si, for t <= 4,
+              each a Horner polynomial in t^2 cut where the first omitted
+              term at t = 4 is below 2^-60 (16 terms each)
 * ``f/g``     Ci = f sin t - g cos t and Si = pi/2 - f cos t - g sin t,
               for t > 4
 
 f(t) = int_0^inf e^{-tu}/(1 + u^2) du and g(t) = int_0^inf u e^{-tu}/(1 + u^2)
 du, the auxiliary functions of Abramowitz & Stegun 5.2, are smooth Laplace
-integrals.  Substituting u = x/t puts them in Gauss-Laguerre form; 32 nodes
-reach ~4e-14 against mpmath over t > 4, where 24 nodes leave 5e-12.
+integrals.  Substituting u = x/t puts them in Gauss-Laguerre form; the
+32-node rule reaches ~4e-14 against mpmath over t > 4, where 24 nodes leave
+5e-12.  Its trailing 9 nodes weigh sum w x < 2^-60 together, so only the
+leading 23 are summed.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +31,23 @@ from .errors import DomainError
 EULER_GAMMA = float(np.euler_gamma)
 
 _SERIES_CUT = 4.0
-_BLOCK = 4096  # rows of the block-by-32 scratch array of _fg
+_TINY = 2.0 ** -60  # bounds the first omitted series term at t = 4 and the dropped Laguerre tail
+_BLOCK = 16384  # points per pass of _fg's node loop, so its 1-D buffers stay in cache
+
+
+def _series_table(coef, factor):
+    """coef(0), coef(1), ..., up to the first k whose term at t = 4,
+    factor 16^k |coef(k)|, is below 2^-60: that one is omitted."""
+    out = []
+    while factor * 16.0 ** len(out) * abs(coef(len(out))) >= _TINY:
+        out.append(coef(len(out)))
+    return tuple(out)
+
+
+# Horner coefficients in t^2: Ci - gamma - log t = t^2 P(t^2) and Si = t Q(t^2)
+_CI_SERIES = _series_table(lambda k: (-1) ** (k + 1) / ((2 * k + 2) * math.factorial(2 * k + 2)),
+                           16.0)
+_SI_SERIES = _series_table(lambda k: (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)), 4.0)
 
 
 @lru_cache(maxsize=None)
@@ -40,53 +61,62 @@ def gauss_legendre(order: int):
 
 @lru_cache(maxsize=None)
 def _gauss_laguerre():
-    """The 32-node Gauss-Laguerre rule for int_0^inf e^{-x} h(x) dx: nodes x
-    and the weight vectors w and w x, built on first use."""
+    """Nodes x and weights w of the 32-node Gauss-Laguerre rule for
+    int_0^inf e^{-x} h(x) dx, without the trailing nodes whose summed w x
+    is below 2^-60 (a bound on what they add to t f and t^2 g, which stay
+    above 0.79 for t > 4); built on first use."""
     x, w = np.polynomial.laguerre.laggauss(32)
-    return x, w, w * x
+    tail = np.cumsum((w * x)[::-1])[::-1]  # tail[k] = sum of w x over nodes k..31
+    keep = int(np.argmax(tail < _TINY))
+    return x[:keep], w[:keep]
 
 
 # ---------------------------------------------------------------------------
 # branch implementations (array-valued)
 
+def _horner(u, coef):
+    """sum_k coef[k] u^k, highest power first, in one buffer."""
+    p = np.full_like(u, coef[-1])
+    for c in coef[-2::-1]:
+        p *= u
+        p += c
+    return p
+
+
 def _ci_series(t):
-    acc = np.zeros_like(t)
-    u = np.ones_like(t)
     t2 = t * t
-    for k in range(1, 31):
-        u = u * (-t2) / ((2 * k - 1) * (2 * k))
-        acc = acc + u / (2 * k)
-    return EULER_GAMMA + np.log(t) + acc
+    return EULER_GAMMA + np.log(t) + t2 * _horner(t2, _CI_SERIES)
 
 
 def _si_series(t):
-    out = t.copy()
-    u = t.copy()
-    t2 = t * t
-    for k in range(1, 31):
-        u = u * (-t2) / ((2 * k) * (2 * k + 1))
-        out = out + u / (2 * k + 1)
-    return out
+    return t * _horner(t * t, _SI_SERIES)
 
 
 def _fg(t):
-    """f(t) = (1/t) sum_k w_k / (1 + (x_k/t)^2) and g(t) = (1/t^2) sum_k
-    w_k x_k / (1 + (x_k/t)^2) on a 1-D array of t > 4, in blocks of _BLOCK
-    points.  t is divided by twice, never squared, so no finite t
+    """f(t) = s sum_k w_k / (1 + (x_k s)^2) and g(t) = s^2 sum_k w_k x_k /
+    (1 + (x_k s)^2), s = 1/t, on a 1-D array of t > 4.  The sums run node
+    by node over blocks of _BLOCK points, so each point's terms add in node
+    order whatever else is in the call; t is never squared, so no finite t
     overflows."""
-    x, w, wx = _gauss_laguerre()
-    f = np.empty_like(t)
-    g = np.empty_like(t)
+    x, w = _gauss_laguerre()
+    nodes = list(zip(x.tolist(), w.tolist()))
+    f = np.zeros_like(t)
+    g = np.zeros_like(t)
     for i in range(0, t.size, _BLOCK):
-        tb = t[i:i + _BLOCK]
-        q = x / tb[:, None]
-        q *= q
-        q += 1.0
-        np.reciprocal(q, out=q)
-        # einsum, not a BLAS @: a threaded matrix-vector product splits its
-        # sums by array size, so a value would depend on what else is in the call
-        f[i:i + _BLOCK] = np.einsum("ij,j->i", q, w) / tb
-        g[i:i + _BLOCK] = np.einsum("ij,j->i", q, wx) / tb / tb
+        s = 1.0 / t[i:i + _BLOCK]
+        fb, gb = f[i:i + _BLOCK], g[i:i + _BLOCK]
+        q = np.empty_like(s)
+        for xk, wk in nodes:
+            np.multiply(s, xk, out=q)
+            q *= q
+            q += 1.0
+            np.divide(wk, q, out=q)
+            fb += q
+            q *= xk
+            gb += q
+        fb *= s
+        gb *= s
+        gb *= s
     return f, g
 
 

@@ -331,6 +331,28 @@ def test_synth_onto_a_directory_sidecar_leaves_no_csv(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
 
 
+def test_signal_output_named_json_exits_2_and_writes_nothing(tmp_path, capsys):
+    # x.json is its own sidecar: synth used to exit 0 and leave a file that
+    # the next read refused with exit 3
+    sig, sym = tmp_path / "f.csv", tmp_path / "one.mat"
+    assert run(["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25",
+                "--output", str(sig)]) == 0
+    from tfq import symbol_grid_for
+    from tfq.grid import PHASE_SPACE, TFMatrix
+
+    grid = symbol_grid_for(tfq_io.read_signal(sig))
+    tfq_io.write_matrix(TFMatrix(np.ones((grid.nx, grid.nw)), grid, PHASE_SPACE), sym)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    out = tmp_path / "x.json"
+    for argv in (["synth", "--kind", "gaussian", "--n", "64", "--dx", "0.25"],
+                 ["op", "--rule", "bj", "--symbol", str(sym), "--input", str(sig)]):
+        assert run([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "x.json" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("drop", ["dx", "x0"])
 def test_sidecar_missing_key_exits_3(tmp_path, capsys, drop):
     sig = tmp_path / "f.csv"

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfq import PHASE_SPACE, PhaseSpaceGrid, TFMatrix, born_jordan
+from tfq import PHASE_SPACE, DomainError, PhaseSpaceGrid, TFMatrix, born_jordan
 from tfq import io as tfq_io
 from tfq.synth import SignalRecipe, synth
 
@@ -184,3 +184,19 @@ def test_concurrent_writers_keep_the_umask(tmp_path):
     for p in paths:
         for q in (p, tfq_io.sidecar_path(p)):
             assert stat.S_IMODE(q.stat().st_mode) == 0o644, q
+
+
+@pytest.mark.parametrize("name", ["x.json", "x"])
+def test_signal_named_like_its_sidecar_is_refused_before_any_write(tmp_path, name):
+    # x.json is its own sidecar: the CSV would land under the sidecar's
+    # name and the signal would never read back.  A name without a suffix
+    # keeps the two apart
+    f = synth(SignalRecipe(kind="gaussian", n=64, dx=0.25))
+    path = tmp_path / name
+    if name.endswith(".json"):
+        with pytest.raises(DomainError, match="x.json"):
+            tfq_io.write_signal(f, path)
+        assert list(tmp_path.iterdir()) == []
+    else:
+        tfq_io.write_signal(f, path)
+        assert tfq_io.read_signal(path).samples.tolist() == f.samples.tolist()

@@ -9,6 +9,7 @@ from tfq import (
     cosine_integral,
     sine_integral,
 )
+from tfq.kernels import _corner_antiderivative
 from tfq.special import EULER_GAMMA
 
 from oracles import ci_brute, ci_evaluate
@@ -126,6 +127,74 @@ def test_mid_branch_value_does_not_depend_on_the_call(fn):
     assert np.array_equal(alone, in_bulk)
 
 
+@pytest.mark.parametrize("fn, hi", [(cosine_integral, 4.0), (sine_integral, 4.0),
+                                    (_corner_antiderivative, 1.0e4)], ids=["ci", "si", "corner"])
+def test_series_and_corner_values_do_not_depend_on_the_call(fn, hi):
+    # the Horner series and the corner H(c) are elementwise: a point alone
+    # equals itself in bulk, on (1e-8, 4] and, for the corner, on both branches
+    rng = np.random.default_rng(8)
+    bulk = np.exp(rng.uniform(np.log(1e-8), np.log(hi), size=100_000))
+    bulk[:2] = [4.0, 1e-8]
+    picked = np.concatenate([[0, 1], rng.choice(np.arange(2, len(bulk)), size=400, replace=False)])
+    alone = np.array([fn(bulk[i:i + 1])[0] for i in picked])
+    assert np.array_equal(alone, fn(bulk)[picked])
+
+
+def test_series_cut_is_where_the_first_omitted_term_at_4_drops_below_2_to_the_minus_60():
+    # Ci - gamma - log t = sum_{k >= 1} (-t^2)^k / (2k (2k)!) and
+    # Si = sum_{k >= 0} (-1)^k t^(2k+1) / ((2k+1) (2k+1)!), in exact arithmetic
+    from fractions import Fraction
+    from math import factorial
+
+    from tfq.special import _CI_SERIES, _SI_SERIES
+
+    def ci_term(k):
+        return Fraction(16**k, 2 * k * factorial(2 * k))
+
+    def si_term(k):
+        return Fraction(4 ** (2 * k + 1), (2 * k + 1) * factorial(2 * k + 1))
+
+    tiny = Fraction(1, 2**60)
+    kept_ci, kept_si = len(_CI_SERIES), len(_SI_SERIES)  # k = 1..kept_ci and k = 0..kept_si - 1
+    assert ci_term(kept_ci + 1) < tiny <= ci_term(kept_ci)
+    assert si_term(kept_si) < tiny <= si_term(kept_si - 1)
+    assert (kept_ci, kept_si) == (16, 16)
+    assert list(_CI_SERIES) == [float(Fraction((-1) ** k, 2 * k * factorial(2 * k)))
+                                for k in range(1, kept_ci + 1)]
+    assert list(_SI_SERIES) == [float(Fraction((-1) ** k, (2 * k + 1) * factorial(2 * k + 1)))
+                                for k in range(kept_si)]
+
+
+def _full_laguerre_fg(t):
+    """f and g from all 32 Gauss-Laguerre nodes, node by node in double."""
+    x, w = np.polynomial.laguerre.laggauss(32)
+    s = 1.0 / t
+    f, g = np.zeros_like(t), np.zeros_like(t)
+    for xk, wk in zip(x, w):
+        r = wk / (1.0 + (xk * s) ** 2)
+        f += r
+        g += r * xk
+    return f * s, g * s * s
+
+
+def test_dropped_laguerre_nodes_carry_less_than_2_to_the_minus_60():
+    from tfq.special import _fg, _gauss_laguerre
+
+    x, w = _gauss_laguerre()
+    xf, wf = np.polynomial.laguerre.laggauss(32)
+    m = len(x)
+    assert np.array_equal(x, xf[:m]) and np.array_equal(w, wf[:m])
+    assert (wf[m:] * xf[m:]).sum() < 2.0**-60 <= (wf[m - 1:] * xf[m - 1:]).sum()
+    assert m == 23
+    # the trimmed rule against the full one, over 4..1e300 (g underflows to
+    # 0 past ~1e154, where both are 0)
+    t = np.geomspace(4.0, 1e300, 5001)
+    f, g = _fg(t)
+    f_ref, g_ref = _full_laguerre_fg(t)
+    assert np.all(np.abs(f - f_ref) <= 4e-16 * f_ref)
+    assert np.all(np.abs(g - g_ref) <= 4e-16 * g_ref)
+
+
 def _branch_handoff_points():
     eps = np.array([1e-12, 1e-9, 1e-6])
     edges = [4.0 * (1 + s * eps) for s in (-1, 1)] + [32.0 * (1 + s * eps) for s in (-1, 1)]
@@ -154,8 +223,6 @@ def test_corner_antiderivative_against_mpmath_across_branch_handoffs():
     # the Born-Jordan cell-average corner H(c) = (c Ci(c) - sin c - Si(c))/(4 pi)
     # combines both functions on one pass of each branch; measured worst
     # 7.4e-15 as |err| / max(1, |ref|)
-    from tfq.kernels import _corner_antiderivative
-
     t = _branch_handoff_points()
     got = _corner_antiderivative(t)
     with mpmath.workdps(30):
