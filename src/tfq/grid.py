@@ -7,10 +7,11 @@ symplectic transform of a matrix F(x, w) is
     Fs F(z1, z2) = int int F(x, w) e^{-2pi i (z2 x - z1 w)} dx dw,
 
 i.e. the plain 2D transform composed with the rotation J(z1, z2) = (z2, -z1).
-Both transforms keep explicit track of axis origins, and output axes are
-always centered.  On centered axes their pre-phases (and all phases of the
-symplectic transform) are signs (-1)^index, applied in place, so applying
-the symplectic transform twice returns the input to rounding (~1e-15).
+Both transforms track axis origins; output axes are always centered.  Every
+axis is x_j = c + d (j - n/2) about its centre c = x0 + n d/2, and a centered
+origin x0 = -n d/2 gives c = 0 exactly, so x_j = -x_{n-j} exactly.  On such
+axes every phase is a sign (-1)^index, the post-phase e^{-+2 pi i x0 w_k} =
+(-1)^k e^{-+2 pi i c w_k} (4 | n, turns c w_k reduced mod 1) included.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class SampledSignal:
 
     @property
     def axis(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return self.x0 + self.n * self.dx / 2.0 + centered_signal_axis(self.n, self.dx)
 
     def energy(self) -> float:
         """sum |f|^2 dx, accumulated with compensated summation."""
@@ -94,12 +95,12 @@ class SampledSignal:
 
 def centered_signal_axis(n: int, dx: float) -> np.ndarray:
     _check_spacing(dx)  # before inf * 0 makes a NaN axis
-    return -n * dx / 2.0 + dx * np.arange(n)
+    return dx * (np.arange(n) - n / 2)
 
 
 def signal_from_function(fn, n: int, dx: float) -> SampledSignal:
     x = centered_signal_axis(n, dx)
-    return SampledSignal(np.asarray(fn(x), dtype=complex), x0=float(x[0]), dx=dx)
+    return SampledSignal(np.asarray(fn(x), dtype=complex), x0=-n * dx / 2.0, dx=dx)
 
 
 _SUPPORT_FLOOR = 1e-13  # samples above this fraction of the peak are support
@@ -154,11 +155,11 @@ class PhaseSpaceGrid:
 
     @property
     def x_axis(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.nx)
+        return self.x0 + self.nx * self.dx / 2.0 + centered_signal_axis(self.nx, self.dx)
 
     @property
     def w_axis(self) -> np.ndarray:
-        return self.w0 + self.dw * np.arange(self.nw)
+        return self.w0 + self.nw * self.dw / 2.0 + centered_signal_axis(self.nw, self.dw)
 
     @property
     def cell_measure(self) -> float:
@@ -224,12 +225,10 @@ def _centered_dft(samples: np.ndarray, x0: float, dx: float, inverse: bool = Fal
                   rows: np.ndarray | None = None):
     """``dft`` of the samples on x0 + j dx, or with ``rows`` of each row of
     rows times them (``stft``), along the last axis into a new array, and
-    the centered output axis (o0, do), do = 1/(n dx).  On it the pre-phase
-    e^{-+2 pi i (j dx) o0} is (-1)^j either way, taken on the samples; only
-    the post-phase of x0 is a phase vector, applied with the factor dx."""
+    the centered output axis (o0, do), do = 1/(n dx): (-1)^j on the samples,
+    then dx (-1)^k e^{-+2 pi i c w_k} for the centre c (dx (-1)^k if c = 0)."""
     n = len(samples)
     do = 1.0 / (n * dx)
-    o0 = -n * do / 2.0
     v = samples.copy()
     v[1::2] *= -1.0
     v = v if rows is None else rows * v
@@ -237,8 +236,11 @@ def _centered_dft(samples: np.ndarray, x0: float, dx: float, inverse: bool = Fal
         np.fft.ifft(v, axis=-1, norm="forward", out=v)
     else:
         np.fft.fft(v, axis=-1, out=v)
-    v *= dx * np.exp((1.0 if inverse else -1.0) * 2j * np.pi * x0 * (o0 + np.arange(n) * do))
-    return v, o0, do
+    turns = (x0 + n * dx / 2.0) * centered_signal_axis(n, do)
+    post = dx * np.exp((1.0 if inverse else -1.0) * 2j * np.pi * (turns - np.round(turns)))
+    post[1::2] *= -1.0
+    v *= post
+    return v, -n * do / 2.0, do
 
 
 def dft(signal: SampledSignal, direction: str = "forward") -> SampledSignal:

@@ -36,6 +36,8 @@ from .kernels import (CohenKernel, _is_identity, _lag_filter, _lattice_multiplie
 weyl_rule = delta_kernel
 born_jordan_rule = born_jordan_kernel
 tau_rule = tau_kernel
+# the grid on which symbols pair with distributions of signals like f
+symbol_grid_for = wigner_grid
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,6 @@ class Symbol:
 
     def conj(self) -> "Symbol":
         return Symbol(self.matrix.with_values(np.conj(self.matrix.values)))
-
-
-def symbol_grid_for(f: SampledSignal) -> PhaseSpaceGrid:
-    """Grid on which symbols pair with distributions of signals like f."""
-    return wigner_grid(f)
 
 
 def weak_apply(a: Symbol, rule: CohenKernel, f: SampledSignal, g: SampledSignal) -> complex:

@@ -16,6 +16,7 @@ from tfq import (
     SizeError,
     TFMatrix,
     assert_central_support,
+    centered_signal_axis,
     dft,
     signal_from_function,
     symplectic_fourier,
@@ -93,16 +94,24 @@ def test_dft_rejects_bad_direction(rng):
         dft(f, "sideways")
 
 
-@pytest.mark.parametrize("direction, sign", [("forward", -1.0), ("inverse", 1.0)])
-def test_dft_matches_exactly_reduced_direct_sum(rng, direction, sign):
+@pytest.mark.parametrize("direction, sign, dx, centred", [
+    pytest.param("forward", -1.0, 1 / 16, False, id="forward--1.0"),
+    pytest.param("inverse", 1.0, 1 / 16, False, id="inverse-1.0"),
+    *(pytest.param(d, s, dx, True, id=f"{d}-centred-{dx:g}")
+      for d, s in (("forward", -1.0), ("inverse", 1.0)) for dx in (1 / 16, 0.07)),
+])
+def test_dft_matches_exactly_reduced_direct_sum(rng, direction, sign, dx, centred):
     # at x0 = 0, x_j w_k = j dx (o0 + k do) = -j/2 + jk/n: the kernel is
-    # (-1)^j e^{-+2 pi i (jk mod n)/n}, with the phase reduced exactly
-    n, dx = 2048, 1 / 16
-    f = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), x0=0.0, dx=dx)
+    # (-1)^j e^{-+2 pi i (jk mod n)/n}, with the phase reduced exactly; a
+    # centred x0 = -n dx/2 adds -k/2 + n/4, a factor (-1)^k as 4 | n
+    n = 2048
+    x0 = -n * dx / 2.0 if centred else 0.0
+    f = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), x0=x0, dx=dx)
     j = np.arange(n)
     roots = np.exp(sign * 2j * np.pi * j / n)
     signed = f.samples * (-1.0) ** j
     ref = dx * np.array([signed @ roots[(j * k) % n] for k in range(n)])
+    ref = ref * (-1.0) ** j if centred else ref
     assert sup_rel_error(dft(f, direction).samples, ref) < 1e-14
 
 
@@ -296,6 +305,26 @@ def test_sft_rejects_uncentred_grid():
     grid = PhaseSpaceGrid(nx=8, x0=0.0, dx=0.25, nw=8, w0=-2.0, dw=0.5)
     with pytest.raises(GridError, match="centered axes"):
         symplectic_fourier(TFMatrix(np.ones((8, 8)), grid))
+
+
+def test_signal_from_function_rejects_empty_axis():
+    # the origin is -n dx/2, not the first point of an empty axis
+    with pytest.raises(SizeError):
+        signal_from_function(lambda x: x, 0, 0.1)
+
+
+@pytest.mark.parametrize("dx", [0.07, 8**-0.5 / 16])
+def test_centred_axes_exactly_antisymmetric(dx):
+    # one axis rule: on a centred origin the centre is exactly 0, so point j
+    # is exactly minus point n - j at any spacing, not only a dyadic one
+    n = 1024
+    grid = PhaseSpaceGrid.centered(n, dx, n, 1.0 / (n * dx))
+    axes = (centered_signal_axis(n, dx), signal_from_function(np.cos, n, dx).axis,
+            SampledSignal(np.ones(n), x0=-n * dx / 2.0, dx=dx).axis,
+            grid.x_axis, grid.w_axis)
+    for a in axes:
+        assert a[n // 2] == 0.0
+        assert np.array_equal(a[1:], -a[:0:-1])
 
 
 def test_signal_from_function_rejects_infinite_dx():

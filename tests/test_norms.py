@@ -251,6 +251,18 @@ def test_sweep_signal_rejects_under_resolved_dilation(monkeypatch):
     assert info.value.lam == 4.0
 
 
+@pytest.mark.parametrize("lam", [8.0, 11.3, 32.0])
+@pytest.mark.parametrize("family", ["gaussian_mod", "bump_amalgam"])
+def test_sweep_signals_and_windows_exactly_even(family, lam):
+    # the sweep spacings lam^{-1/2}/16 are not dyadic; the centred axis is
+    # still exactly antisymmetric, so both even profiles sample exactly even
+    from tfq import norms
+
+    f = norms._sweep_signal(family, lam)
+    for s in (f.samples, canonical_window(f).samples):
+        assert np.array_equal(s[1:], s[:0:-1])
+
+
 def test_unknown_family_rejected():
     with pytest.raises(DomainError):
         scaling_norm("mystery", MixedNormSpec(2.0, 2.0), 4.0)
