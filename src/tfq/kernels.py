@@ -223,7 +223,8 @@ def theta_growth_integral(p: float, R: float) -> float:
     The u integral uses unit panels aligned with the sinc zeros (dyadically
     refined toward the logarithmic endpoint u = 0); beyond ``_U_EXACT`` =
     16384 the per-period average of |sin|^p turns the tail into a closed form.
-    Relative error is well below 1e-4 across the admissible range.
+    At p = 2 an independent route (integration by parts through Si) agrees
+    to 3.3e-14 relative or better at 44 radii from 1 to 1e4.
     """
     if not 1.0 <= p <= 8.0:
         raise DomainError("exponent must lie in [1, 8]")

@@ -13,7 +13,8 @@ dense matrix as one block; ``modulation_norm`` (position inner, M^{p,q})
 and ``amalgam_norm`` (frequency inner, W(FL^p, L^q)) stream |V_g f| to it
 in row blocks of ``_BLOCK`` window shifts, magnitude only, with ``rfft``
 and mirror weights 1, 2, ..., 2, 1 on the frequency bins when f is real
-(the Gaussian window always is), so their memory is O(block n), not n^2.
+(the Gaussian window always is), on window shifts 0..n/2 alone when f and
+the window are also exactly even; so their memory is O(block n), not n^2.
 The dense ``stft`` stays the reference route.  The dilation experiments
 fit log-norm against log-dilation over a sweep and report the
 least-squares slope with its standard error.
@@ -49,28 +50,31 @@ class MixedNormSpec:
 
 
 def _reduce(blocks, weights, spec: MixedNormSpec, order: str, dx: float, dw: float) -> float:
-    """Grid L^{p,q} norm of a magnitude matrix given as row blocks (rows on
-    the position axis, columns on the frequency axis); column k counts
-    ``weights[k]`` times, or ``weights`` times if it is a scalar.  Every sum is an ``np.sum``, so a result depends
-    on the blocks alone, not on the BLAS thread count."""
+    """Grid L^{p,q} norm of a magnitude matrix given as (row weights, row
+    block) pairs, rows on the position axis and columns on the frequency
+    axis; column k counts ``weights[k]`` times and block row r ``w[r]`` times
+    (either may be the scalar 1, and a maximum ignores both).  Every sum is
+    an ``np.sum``: a result depends on the blocks, not the BLAS thread count."""
     p, q = spec.p, spec.q
     acc = 0.0
     if order == POSITION_INNER:
-        for mags in blocks:
+        for w, mags in blocks:
             if np.isinf(p):
                 acc = np.maximum(acc, mags.max(axis=0))
             else:
-                acc = acc + np.sum(mags**p, axis=0)
+                mags **= p  # blocks are the reducer's own: weighting costs no temporary
+                mags *= w
+                acc = acc + np.sum(mags, axis=0)
         inner = acc if np.isinf(p) else (acc * dx) ** (1.0 / p)
         if np.isinf(q):
             return float(inner.max())
         return float((np.sum(weights * inner**q) * dw) ** (1.0 / q))
-    for mags in blocks:
+    for w, mags in blocks:
         if np.isinf(p):
-            inner = mags.max(axis=1)
+            inner = mags.max(axis=1, keepdims=True)
         else:
-            inner = (np.sum(weights * mags**p, axis=1) * dw) ** (1.0 / p)
-        acc = max(acc, inner.max()) if np.isinf(q) else acc + np.sum(inner**q)
+            inner = (np.sum(weights * mags**p, axis=1, keepdims=True) * dw) ** (1.0 / p)
+        acc = max(acc, inner.max()) if np.isinf(q) else acc + np.sum(w * inner**q)
     return float(acc) if np.isinf(q) else float((acc * dx) ** (1.0 / q))
 
 
@@ -79,7 +83,7 @@ def mixed_norm(m: TFMatrix, spec: MixedNormSpec, order: str = POSITION_INNER) ->
     if order not in (POSITION_INNER, FREQUENCY_INNER):
         raise DomainError(f"unknown nesting {order!r}")
     g = m.grid
-    return _reduce([np.abs(m.values)], 1.0, spec, order, g.dx, g.dw)
+    return _reduce([(1.0, np.abs(m.values))], 1.0, spec, order, g.dx, g.dw)
 
 
 def canonical_window(f: SampledSignal) -> SampledSignal:
@@ -88,6 +92,11 @@ def canonical_window(f: SampledSignal) -> SampledSignal:
 
 
 _BLOCK = 64  # rows of |V| held at once by the streamed norms
+
+
+def _mirror(m: int) -> np.ndarray:
+    """Weights 1, 2, ..., 2, 1: entries 1..m-2 each stand for a mirror pair."""
+    return np.concatenate([[1.0], np.full(m - 2, 2.0), [1.0]])
 
 
 def _stft_norm(f: SampledSignal, spec: MixedNormSpec, order: str) -> float:
@@ -99,28 +108,31 @@ def _stft_norm(f: SampledSignal, spec: MixedNormSpec, order: str) -> float:
     the factor dx of V comes out of the norm, which is homogeneous.
     The Gaussian window is real, so a real f gives Hermitian rows: ``rfft``
     keeps bins 0..n/2 and the weights count bins 1..n/2 - 1 twice (n is
-    even, so bin n/2 is the Nyquist bin).
+    even, so bin n/2 is the Nyquist bin).  If f and the window are also
+    exactly even (f[j] == f[-j mod n]), row n - s is row s reversed, with
+    the same bin magnitudes, so only rows 0..n/2 are transformed and they
+    carry the same mirror weights.  Any other f keeps all n rows.
     """
     n, dx = f.n, f.dx
     fs, gs = f.samples, canonical_window(f).samples.real
-    if fs.imag.any():
-        fft, weights = np.fft.fft, 1.0
-    else:
-        fs, fft = fs.real, np.fft.rfft
-        weights = np.full(n // 2 + 1, 2.0)
-        weights[[0, -1]] = 1.0
-    rows = sliding_window_view(np.tile(gs, 2), n)[:n]  # rows[s, j] = gs[(s + j) % n]
-    blocks = (np.abs(fft(rows[s : s + _BLOCK] * fs, axis=1)) for s in range(0, n, _BLOCK))
+    fft, weights, rw, m = np.fft.fft, 1.0, np.ones((n, 1)), n
+    if not fs.imag.any():
+        fs, fft, weights = fs.real, np.fft.rfft, _mirror(n // 2 + 1)
+        if np.array_equal(fs[1:], fs[:0:-1]) and np.array_equal(gs[1:], gs[:0:-1]):
+            rw, m = weights[:, None], n // 2 + 1
+    rows = sliding_window_view(np.tile(gs, 2), n)[:m]  # rows[s, j] = gs[(s + j) % n]
+    blocks = ((rw[s : s + _BLOCK], np.abs(fft(rows[s : s + _BLOCK] * fs, axis=1)))
+              for s in range(0, m, _BLOCK))
     return dx * _reduce(blocks, weights, spec, order, dx, 1.0 / (n * dx))
 
 
 def modulation_norm(f: SampledSignal, spec: MixedNormSpec) -> float:
     """Joint norm of the Gaussian-window STFT, position-inner nesting.
 
-    Equal to ``mixed_norm(stft(f, canonical_window(f)), ...)`` to
-    rounding, but streamed: |V| is reduced ``_BLOCK`` rows at a time, with
-    no phases, through a real FFT with mirror weights when f is real, so
-    memory stays O(block n) instead of one n x n complex array.
+    Equal to ``mixed_norm(stft(f, canonical_window(f)), ...)`` to rounding,
+    but streamed ``_BLOCK`` rows of |V| at a time, with no phases, through a
+    real FFT with mirror weights when f is real (on half the rows when f is
+    also exactly even): O(block n) memory, not one n x n complex array.
     """
     return _stft_norm(f, spec, POSITION_INNER)
 

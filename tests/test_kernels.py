@@ -28,6 +28,7 @@ from oracles import (
     cell_averages_four_corner,
     ci_brute,
     growth_brute2d,
+    growth_p2_by_parts,
     vg_theta_brute,
     vg_theta_grid_dyadic,
 )
@@ -225,6 +226,15 @@ def test_growth_matches_brute_2d():
         got = theta_growth_integral(p, R)
         ref = growth_brute2d(p, R)
         assert abs(got - ref) / ref < 1e-4
+
+
+@pytest.mark.parametrize("R", [8.0, 48.0, 384.0, 1.0e4])
+def test_growth_p2_matches_integration_by_parts(R):
+    # an independent route through Si; R = 384 and 1e4 also reach the
+    # closed-form tail past u = 16384.  It measured <= 3.3e-14 relative
+    got = theta_growth_integral(2.0, R)
+    ref = growth_p2_by_parts(R)
+    assert abs(got - ref) <= 1e-11 * ref
 
 
 def test_growth_monotone_with_increment_floor():

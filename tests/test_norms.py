@@ -156,18 +156,28 @@ def test_amalgam_consistency(rng):
 
 
 def _norm_signal(kind, n):
+    # "real" is exactly even on its centred axis, so the streamed norms
+    # transform only half the window shifts; "shifted" is real but not
+    # even, "complex_even" is even but complex (row n - s is row s with its
+    # bins reversed) and "nudged" misses evenness by one ulp in one sample
     dx = min(1 / 16, 4.0 / n)
     x = centered_signal_axis(n, dx)
-    if kind == "real":
-        f = SampledSignal(np.exp(-np.pi * x**2), x0=float(x[0]), dx=dx)
+    if kind in ("real", "nudged"):
+        samples = np.exp(-np.pi * x**2)
+        if kind == "nudged":
+            samples[n // 4] = np.nextafter(samples[n // 4], 0.0)
+    elif kind == "shifted":
+        samples = np.exp(-np.pi * (x - 0.3) ** 2)
+    elif kind == "complex_even":
+        samples = np.exp(-np.pi * x**2) * (1 + 0.5j * np.cos(2 * np.pi * 0.7 * x))
     else:
-        atom = np.exp(-np.pi * 1.5 * (x - 0.3) ** 2 + 2j * np.pi * 0.7 * x)
-        f = SampledSignal(atom, x0=float(x[0]), dx=dx)
+        samples = np.exp(-np.pi * 1.5 * (x - 0.3) ** 2 + 2j * np.pi * 0.7 * x)
+    f = SampledSignal(samples, x0=float(x[0]), dx=dx)
     return dft(f) if kind == "dft" else f
 
 
 @pytest.mark.parametrize("n", [8, 16, 256, 1024])
-@pytest.mark.parametrize("kind", ["real", "complex", "dft"])
+@pytest.mark.parametrize("kind", ["real", "complex", "dft", "shifted", "complex_even", "nudged"])
 def test_streamed_norms_match_dense_stft(kind, n):
     # the streamed |V| route against the dense transform, every exponent
     # pair and both nestings; n = 8 and 16 lie below the row block
@@ -183,6 +193,26 @@ def test_streamed_norms_match_dense_stft(kind, n):
                 want = mixed_norm(v, MixedNormSpec(p, q), order)
                 got = norm(f, MixedNormSpec(p, q))
                 assert abs(got - want) <= 1e-13 * want, (p, q, order)
+
+
+@pytest.mark.parametrize("kind, halved", [("real", True), ("shifted", False), ("nudged", False)])
+def test_streamed_norms_halve_rows_only_when_even(monkeypatch, kind, halved):
+    # rows 0..n/2 of |V| carry the norm of an exactly even real f; any
+    # other real f transforms every window shift
+    n = 256
+    f = _norm_signal(kind, n)
+    rfft = np.fft.rfft
+    count = []
+
+    def spy(a, *args, **kwargs):
+        count.append(a.shape[0])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    for norm in (modulation_norm, amalgam_norm):
+        count.clear()
+        norm(f, MixedNormSpec(2.0, 3.5))
+        assert sum(count) == (n // 2 + 1 if halved else n)
 
 
 def test_streamed_norm_memory_is_row_blocks():
