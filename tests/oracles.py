@@ -15,9 +15,11 @@ per cell corner, and the distribution as a tau-average of tau-Wigner
 distributions, with neither the multiplier nor Ci.  Two are the library's
 former routes, kept as references: Ci evaluated on one named branch of
 the former series / panel-quadrature / asymptotic dispatch (``ci_evaluate``,
-with its own copy of the eight-term expansion), and the kernel STFT on
-dyadic t-panels (``vg_theta_grid_dyadic``).  ``growth_p2_by_parts`` is
-the p = 2 growth integral integrated by parts, through mpmath's Si.
+with its own copy of the eight-term expansion), the kernel STFT on
+dyadic t-panels (``vg_theta_grid_dyadic``) and the growth integral with
+``np.sinc`` on every u-panel (``growth_sinc_panels``).
+``growth_p2_by_parts`` is the p = 2 growth integral integrated by parts,
+through mpmath's Si.
 
 The rest were library functions that only the tests called:
 ``tau_wigner_direct`` (the tau-distribution by spectral fractional delays,
@@ -30,7 +32,7 @@ axes coincide) and ``conjugate_exponent`` (the Hoelder pair p').
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum
+from math import fsum, log
 
 import mpmath
 import numpy as np
@@ -237,6 +239,38 @@ def growth_brute2d(p: float, R: float, cell: float = 1 / 8, order: int = 8) -> f
     y, wt = gauss_legendre_cells(-R, R, cell, order)
     Y1, Y2 = np.meshgrid(y, y, indexing="ij")
     return float(wt @ (np.abs(np.sinc(Y1 * Y2)) ** p) @ wt)
+
+
+def growth_sinc_panels(p: float, R: float) -> float:
+    """I_p(R) = 4 int_0^{R^2} |sinc u|^p log(R^2/u) du with ``np.sinc`` at
+    the 12 Gauss nodes of every panel: 44 dyadic panels in [2^-44, 1], unit
+    panels to min(R^2, 16384) and a partial last one, then the closed-form
+    tail from the per-period average of |sin|^p.  The library's former
+    route, before its unit panels shared one table of |sin| at the nodes."""
+    R2 = R * R
+    u_hi = min(R2, 16384.0)
+    glx, glw = np.polynomial.legendre.leggauss(12)
+    head = 2.0 ** (-np.arange(44, -1, -1, dtype=float))
+    edges = np.unique(np.concatenate([head, np.arange(1.0, np.floor(u_hi) + 1.0), [u_hi]]))
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    u = (0.5 * (a + b))[:, None] + half[:, None] * glx
+    vals = np.abs(np.sinc(u)) ** p * np.log(R2 / u)
+    main = fsum(((vals @ glw) * half).tolist()) + 2.0**-44 * (1.0 + log(R2 / 2.0**-44))
+    if R2 <= u_hi:
+        return 4.0 * main
+    gx, gw = np.polynomial.legendre.leggauss(64)
+    period_avg = float(((np.abs(np.sin(np.pi * (0.5 + 0.5 * gx))) ** p) @ gw) * 0.5)
+    if abs(p - 1.0) < 1e-12:
+        iv = (log(R2) ** 2 / 2.0) - (log(R2) * log(u_hi) - log(u_hi) ** 2 / 2.0)
+    else:
+        q = 1.0 - p
+
+        def prim(uv: float) -> float:
+            return (uv**q / q) * (log(R2) - log(uv)) + uv**q / (q * q)
+
+        iv = prim(R2) - prim(u_hi)
+    return 4.0 * (main + period_avg * iv / np.pi**p)
 
 
 _GROWTH_CUT = 2000  # where growth_p2_by_parts turns to the two-term tail

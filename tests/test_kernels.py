@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfq import (
+    AccuracyError,
     DomainError,
     PHASE_SPACE,
     PhaseSpaceGrid,
@@ -29,6 +30,7 @@ from oracles import (
     ci_brute,
     growth_brute2d,
     growth_p2_by_parts,
+    growth_sinc_panels,
     vg_theta_brute,
     vg_theta_grid_dyadic,
 )
@@ -237,6 +239,16 @@ def test_growth_p2_matches_integration_by_parts(R):
     assert abs(got - ref) <= 1e-11 * ref
 
 
+@pytest.mark.parametrize("R", [1.0, 1.2, 3.0, 7.3, 24.0, 128.5, 384.0, 1.0e4])
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 4.7, 8.0])
+def test_growth_matches_sinc_panel_oracle(p, R):
+    # no unit panel (R = 1, 1.2), a partial last panel (1.2, 7.3), whole unit
+    # panels only (3, 24) and the closed-form tail (128.5, 384, 1e4)
+    got = theta_growth_integral(p, R)
+    ref = growth_sinc_panels(p, R)
+    assert abs(got - ref) <= 1e-13 * ref
+
+
 def test_growth_monotone_with_increment_floor():
     radii = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
     vals = [theta_growth_integral(1.0, R) for R in radii]
@@ -350,9 +362,7 @@ def test_vg_theta_grid_matches_dyadic_oracle(z):
     assert sup_rel_error(vals, ref) <= 1e-12
 
 
-def test_vg_theta_grid_integrand_calls(monkeypatch):
-    # uniform panels sized by the phase rate: at z = (2, 1) on the benchmark
-    # axis the rate is about 52, so 7 sub-panels per rule, 14 calls in all
+def _count_integrand_calls(monkeypatch):
     calls = []
     real = kernels_module._vg_integrand
 
@@ -361,8 +371,54 @@ def test_vg_theta_grid_integrand_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels_module, "_vg_integrand", counted)
+    return calls
+
+
+def test_vg_theta_grid_integrand_calls(monkeypatch):
+    # uniform panels sized by the phase rate at the live points: at z = (2, 1)
+    # on the benchmark axis that rate is below 24 (about 52 over the whole
+    # grid), so 3 sub-panels per rule, 6 calls in all
+    calls = _count_integrand_calls(monkeypatch)
     vg_theta_grid(2.0, 1.0, VG_AXIS, VG_AXIS)
-    assert len(calls) <= 14
+    assert len(calls) <= 6
+
+
+def test_vg_theta_grid_ignores_rate_at_dead_points(monkeypatch):
+    # at z = 0 the rate |zeta1 zeta2| reaches 1e6 at (-1000, -1000), far past
+    # the budget, but only (0.25, 0.25) lies within reach of the integrand
+    calls = _count_integrand_calls(monkeypatch)
+    axis = [-1000.0, 0.25]
+    vals, est = vg_theta_grid(0.0, 0.0, axis, axis)
+    assert len(calls) == 2  # one sub-panel per rule
+    assert est < 1e-6
+    assert abs(vals[1, 1] - vg_theta_brute(0.0, 0.0, 0.25, 0.25)) < 1e-12
+    assert np.max(np.abs(vals[0])) <= 2.0**-60 and abs(vals[1, 0]) <= 2.0**-60
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e300, 1e300, [1.0], [1.0]),
+        (0.0, 0.0, [1e300], [1e300]),
+        (0.0, 0.0, [1e300, 0.25], [1e300, 0.25]),
+    ],
+)
+def test_vg_theta_grid_overflowing_rate_raises_before_allocating(monkeypatch, args):
+    # finite input whose phase rate overflows, even only at a dead point:
+    # no OverflowError, RuntimeWarning or NaN result, and no integrand call
+    calls = _count_integrand_calls(monkeypatch)
+    with pytest.raises(AccuracyError, match="overflows") as info:
+        vg_theta_grid(*args)
+    assert info.value.achieved == np.inf
+    assert not calls
+
+
+def test_vg_theta_grid_nan_error_raises(monkeypatch):
+    monkeypatch.setattr(kernels_module, "_vg_integrand",
+                        lambda t, *rest: np.full(np.broadcast(t, *rest[2:]).shape, np.nan))
+    with pytest.raises(AccuracyError) as info:
+        vg_theta_grid(0.0, 0.0, [0.25], [0.25])
+    assert np.isnan(info.value.achieved)
 
 
 @pytest.mark.parametrize(
