@@ -24,7 +24,7 @@ quotient and one per residue of k m mod n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, log
+from math import fsum, gamma, log
 
 import numpy as np
 
@@ -209,7 +209,20 @@ def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
 # ---------------------------------------------------------------------------
 # growth of |Theta|^p over expanding boxes
 
-_U_EXACT = 16384.0  # the growth integral's u-panels stop here; closed-form tail beyond
+_U_EXACT = 16384.0  # the growth integral's u-panels stop here; period-average tail beyond
+# panel edges on [0, 1] halving toward 0 (to 2^-45), where log u or a zero of
+# sinc sits, and toward 1 (to 2^-20)
+_GRADED = np.concatenate([[0.0], 2.0 ** np.arange(-45.0, 0.0),
+                          1.0 - 2.0 ** np.arange(-2.0, -21.0, -1.0), [1.0]])
+
+
+def _panel_rule(edges, order: int):
+    """Gauss-Legendre nodes and weights, ``order`` per panel, on the panels
+    between consecutive ``edges`` along the last axis: two arrays of shape
+    edges.shape[:-1] + (panels, order), the half-widths in the weights."""
+    x, w = gauss_legendre(order)
+    half = 0.5 * np.diff(edges)[..., None]
+    return 0.5 * (edges[..., :-1, None] + edges[..., 1:, None]) + half * x, half * w
 
 
 def theta_growth_integral(p: float, R: float) -> float:
@@ -220,61 +233,50 @@ def theta_growth_integral(p: float, R: float) -> float:
 
         I_p(R) = 4 int_0^{R^2} |sinc u|^p log(R^2/u) du.
 
-    The u integral uses 12-node unit panels aligned with the sinc zeros,
-    dyadically refined toward the logarithmic endpoint u = 0.  On a whole
-    unit panel [j, j + 1] |sin(pi u)| at the nodes is cos(pi x_i / 2), the
-    same table on every panel, so each node costs one log and one exp; the
-    dyadic panels in [0, 1] and a partial last panel use ``np.sinc``.
-    Beyond ``_U_EXACT`` = 16384 the per-period average of |sin|^p turns the
-    tail into a closed form.
-    At p = 2 an independent route (integration by parts through Si) agrees
-    to 3.3e-14 relative or better at 44 radii from 1 to 1e4.
+    The u integral up to min(R^2, ``_U_EXACT`` = 16384) uses two rules.
+    [0, 1] and a partial last panel take ``np.sinc`` at 12 Gauss nodes on
+    panels halving toward both ends.  Every whole unit panel [j, j + 1]
+    takes the 10-node Gauss rule for the weight |sin(pi t)|^p on [0, 1]
+    (Gauss-Jacobi for (t (1 - t))^p, times the smooth factor), so each
+    node costs one log and one exp.  Past 16384 |sin|^p is replaced by
+    its period average, the rule's weight sum, and the rest is taken in
+    v = log u on four 12-node panels.  Against mpmath: 4.4e-16 relative
+    or better at 64 (p, R), p from 1 to 8, R up to 24.  Past 16384 the
+    period average limits it; against every panel summed to R^2 (R = 384)
+    it measured 2e-12 at p = 1, 2e-13 at p = 1.3 and 3e-16 at p >= 2.  At
+    p = 2 an independent route (integration by parts through Si) agrees to
+    3.7e-14 relative or better at 44 radii from 1 to 1e4.
     """
     if not 1.0 <= p <= 8.0:
         raise DomainError("exponent must lie in [1, 8]")
     if not 1.0 <= R <= 1.0e4:
         raise DomainError("box half-width must lie in [1, 1e4]")
     R2 = R * R
+    L = log(R2)
     u_hi = min(R2, _U_EXACT)
     j_hi = np.floor(u_hi)
-    glx, glw = gauss_legendre(12)
 
-    # np.sinc on the 44 dyadic head panels in [2^-44, 1] and a partial last panel
-    edges = 2.0 ** -np.arange(44.0, -1.0, -1.0)
-    a, b = edges[:-1], edges[1:]
-    if u_hi > j_hi:
-        a, b = np.append(a, j_hi), np.append(b, u_hi)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * glx
-    vals = np.abs(np.sinc(u)) ** p * np.log(R2 / u)
-    panels = ((vals @ glw) * half).tolist()
-    # on a unit panel [j, j + 1] |sin(pi u)| at the nodes is cos(pi x / 2),
-    # one table for all, so |sinc u|^p = cos^p e^{-p (log pi + log u)}
-    log_u = np.log(np.arange(1.5, j_hi)[:, None] + 0.5 * glx)
+    # np.sinc on [0, 1] and on a partial last panel [j_hi, u_hi]
+    edges = [_GRADED, j_hi + (u_hi - j_hi) * _GRADED] if u_hi > j_hi else [_GRADED]
+    u, w = _panel_rule(np.array(edges), 12)
+    panels = (np.abs(np.sinc(u)) ** p * np.log(R2 / u) * w).sum(axis=-1).ravel().tolist()
+    # Gauss-Jacobi for (t (1 - t))^p on [0, 1] = (1 + x) / 2 by Golub-Welsch
+    # (eigh reads the lower triangle), then the weights times (sin(pi t) / (t (1 - t)))^p
+    n = np.arange(1.0, 10.0)
+    x, vec = np.linalg.eigh(np.diag(np.sqrt(n * (n + 2 * p) / ((2 * n + 2 * p) ** 2 - 1)), -1))
+    s = 0.5 - 0.5 * np.abs(x)  # min(t, 1 - t), so sin(pi t) keeps its relative accuracy
+    mass = np.sqrt(np.pi) * gamma(p + 1.0) / (gamma(p + 1.5) * 2.0 ** (2.0 * p + 1.0))
+    wt = mass * vec[0] ** 2 * (np.sin(np.pi * s) / (s * (1.0 - s))) ** p
+    log_u = np.log(np.arange(1.0, j_hi)[:, None] + (0.5 + 0.5 * x))
     vals = np.exp(-p * (log(np.pi) + log_u))
-    vals *= log(R2) - log_u
-    panels += (vals @ (0.5 * glw * np.cos(0.5 * np.pi * glx) ** p)).tolist()
-    main = fsum(panels)
-    eps = 2.0**-44
-    main += eps * (1.0 + log(R2 / eps))  # leftover [0, eps], integrand ~ log
+    vals *= L - log_u
+    panels += (vals @ wt).tolist()
 
-    tail = 0.0
-    if R2 > u_hi:
-        gx64, gw64 = gauss_legendre(64)
-        tt = 0.5 + 0.5 * gx64
-        period_avg = float(((np.abs(np.sin(np.pi * tt)) ** p) @ gw64) * 0.5)
-        if abs(p - 1.0) < 1e-12:
-            iv = (log(R2) ** 2 / 2.0) - (log(R2) * log(u_hi) - log(u_hi) ** 2 / 2.0)
-        else:
-            q = 1.0 - p
-
-            def prim(uv: float) -> float:
-                return (uv**q / q) * (log(R2) - log(uv)) + uv**q / (q * q)
-
-            iv = prim(R2) - prim(u_hi)
-        tail = period_avg * iv / np.pi**p
-    return 4.0 * (main + tail)
+    # past u_hi: the period average of |sin|^p times int u^-p (L - log u) du,
+    # in v = log u; an empty interval when R^2 <= 16384
+    v, w = _panel_rule(np.linspace(log(u_hi), L, 5), 12)
+    tail = float(wt.sum() * np.sum(np.exp((1.0 - p) * v - p * log(np.pi)) * (L - v) * w))
+    return 4.0 * (fsum(panels) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +353,10 @@ def vg_theta_grid(z1, z2, zeta1_axis, zeta2_axis, tol: float = 1e-6):
             achieved=np.inf,
         )
     e = np.linspace(-0.5, 0.5, panels + 1)
-    mid = 0.5 * (e[:-1] + e[1:])
-    half = 0.5 * (e[1:] - e[:-1])
     v32, v20 = (  # the 32- and 20-node rules over the sub-panels
-        sum(np.tensordot(w, _vg_integrand((m + h * x)[:, None, None], z1, z2, Z1, Z2),
-                         axes=(0, 0)) * h for m, h in zip(mid, half))
-        for x, w in (gauss_legendre(32), gauss_legendre(20))
+        sum(np.tensordot(w, _vg_integrand(t[:, None, None], z1, z2, Z1, Z2), axes=(0, 0))
+            for t, w in zip(*_panel_rule(e, order)))
+        for order in (32, 20)
     )
     err = float(np.max(np.abs(v32 - v20)))
     if not err <= tol:

@@ -29,6 +29,7 @@ from oracles import (
     cell_averages_four_corner,
     ci_brute,
     growth_brute2d,
+    growth_mpmath,
     growth_p2_by_parts,
     growth_sinc_panels,
     vg_theta_brute,
@@ -243,10 +244,28 @@ def test_growth_p2_matches_integration_by_parts(R):
 @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 4.7, 8.0])
 def test_growth_matches_sinc_panel_oracle(p, R):
     # no unit panel (R = 1, 1.2), a partial last panel (1.2, 7.3), whole unit
-    # panels only (3, 24) and the closed-form tail (128.5, 384, 1e4)
+    # panels only (3, 24) and the period-average tail (128.5, 384, 1e4)
     got = theta_growth_integral(p, R)
     ref = growth_sinc_panels(p, R)
     assert abs(got - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("R", [1.2, 1.7, 3.0, 7.3])
+@pytest.mark.parametrize("p", [1.3, 1.57, 3.5, 4.7, 6.2])
+def test_growth_matches_mpmath_at_non_integer_p(p, R):
+    # |sinc|^p meets each zero as |t|^p, which a rule exact only for
+    # polynomials resolves slowly at non-integer p; it measured <= 3e-16
+    got = theta_growth_integral(p, R)
+    ref = growth_mpmath(p, R)
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("R", [384.0, 1.0e4])
+def test_growth_continuous_as_p_tends_to_one(R):
+    # the tail past u = 16384 has no branch at p = 1; dI/dp measured about -1.06e3
+    base = theta_growth_integral(1.0, R)
+    for d in (1e-12, 1e-10, 1e-8, 1e-6):
+        assert abs(theta_growth_integral(1.0 + d, R) - base) <= 2e3 * d + 1e-12 * base
 
 
 def test_growth_monotone_with_increment_floor():
@@ -393,6 +412,19 @@ def test_vg_theta_grid_ignores_rate_at_dead_points(monkeypatch):
     assert est < 1e-6
     assert abs(vals[1, 1] - vg_theta_brute(0.0, 0.0, 0.25, 0.25)) < 1e-12
     assert np.max(np.abs(vals[0])) <= 2.0**-60 and abs(vals[1, 0]) <= 2.0**-60
+
+
+@pytest.mark.parametrize("side, calls_expected", [(-1.0, 4), (1.0, 2)])
+def test_vg_theta_grid_live_point_threshold(monkeypatch, side, calls_expected):
+    # a point is live while its amplitude bound e^{-pi d^2 / 1.25} is at
+    # least 2^-60.  At z = 0 the point (a, a) lies at squared distance 2 a^2
+    # from the segment, just inside or just outside that threshold; its rate
+    # a^2 = 8.27 is the only one above 8, so it alone decides 2 or 1 sub-panels
+    dead_d2 = 1.25 * 60.0 * np.log(2.0) / np.pi
+    a = np.sqrt(0.5 * dead_d2 * (1.0 + side * 1e-9))
+    calls = _count_integrand_calls(monkeypatch)
+    vg_theta_grid(0.0, 0.0, [0.0, a], [0.0, a])
+    assert len(calls) == calls_expected
 
 
 @pytest.mark.parametrize(
