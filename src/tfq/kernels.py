@@ -29,7 +29,8 @@ from math import fsum, gamma, log
 import numpy as np
 
 from .errors import AccuracyError, DomainError, SingularPointError
-from .special import _ci_series, _on_branches, _si_series, cosine_integral, gauss_legendre
+from .special import (EULER_GAMMA, _ci_series, _on_branches, _si_series, cosine_integral,
+                      gauss_legendre)
 
 DELTA = "delta"
 BORN_JORDAN = "born_jordan"
@@ -152,18 +153,36 @@ def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
 # Born-Jordan phase-space kernel (dimension one)
 
 def theta_sigma_d1(z1, z2):
-    """-2 Ci(4 pi |z1 z2|); singular on the axes z1 z2 = 0.
+    """-2 Ci(4 pi |z1 z2|); singular on the axes z1 = 0 and z2 = 0.
+
+    Where |z1 z2| underflows the normal float range, the series law
+    -2 (gamma + log 4 pi + log|z1| + log|z2|) (its next term is below
+    1e-600 there); where 4 pi |z1 z2| overflows, 0.0, the limit of Ci at
+    infinity (|Ci(t)| < 2/t, below 2e-308 there).
 
     Raises:
-        SingularPointError: if any requested point has z1 z2 = 0.  Callers
-            integrating across the axes should use the cell averages below.
+        SingularPointError: if any requested point has z1 = 0 or z2 = 0.
+            Callers integrating across the axes should use the cell
+            averages below.
+        DomainError: on a non-finite z1 or z2.
     """
-    p = np.abs(np.asarray(z1, dtype=float) * np.asarray(z2, dtype=float))
-    if np.any(p == 0.0):
+    a, b = np.broadcast_arrays(np.abs(np.asarray(z1, dtype=float)),
+                               np.abs(np.asarray(z2, dtype=float)))
+    if np.any(a == 0.0) or np.any(b == 0.0):
         raise SingularPointError(
             "the Born-Jordan kernel is unbounded on the axes z1 z2 = 0"
         )
-    return -2.0 * cosine_integral(4.0 * np.pi * p)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("theta_sigma_d1 requires finite z1, z2")
+    with np.errstate(over="ignore", under="ignore"):
+        p = a * b
+        t = 4.0 * np.pi * p
+    out = np.zeros(t.shape)  # 0.0 where t overflows
+    tiny = p < np.finfo(float).tiny
+    mid = ~tiny & (t < np.inf)
+    out[mid] = -2.0 * cosine_integral(t[mid])
+    out[tiny] = -2.0 * (EULER_GAMMA + log(4.0 * np.pi) + np.log(a[tiny]) + np.log(b[tiny]))
+    return float(out) if out.ndim == 0 else out
 
 
 def _corner_antiderivative(c):

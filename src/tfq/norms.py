@@ -185,7 +185,8 @@ def fit_loglog(lams: Sequence[float], norms: Sequence[float]) -> ScalingFit:
     )
 
 
-_GAUSS_RADIUS = 2.96  # e^{-pi r^2} ~ 1e-12
+_GAUSS_RADIUS = 2.96  # e^{-pi r^2} ~ 1e-12: the bump family's window support
+_ULP_RADIUS = float(np.sqrt(53.0 * np.log(2.0) / np.pi))  # e^{-pi r^2} = 2^-53
 _MAX_SWEEP_N = 4096
 
 
@@ -197,25 +198,41 @@ def _bump(x):
 
 
 def _sweep_signal(family: str, lam: float) -> SampledSignal:
-    """Signal for one sweep point, on a grid resolving signal and window.
+    """Signal for one sweep point, on a power-of-two grid of n samples.
 
-    The spacing follows dx = lam^{-1/2}/16, capped at 1/16 so the unit
-    analysis window never drops below sixteen samples; the window length is
-    1.15 x the combined supports (the circular-shift wrap condition).
+    The Gaussian families, f = e^{-pi lam x^2} under the unit window g,
+    are sized from the two errors the streamed |V_g f| can make, each held
+    to e^{-pi r^2} = 2^-53 of the peak (r = ``_ULP_RADIUS``):
+
+    * wrap: a product f(t) g(v) of a wrapped window row has |t - v| >= L/2,
+      L = n dx, so it is at most e^{-pi (L/2)^2 lam/(lam+1)}; hence
+      L/2 >= r sqrt(1 + 1/lam);
+    * aliasing: the spectrum of f g(. - x) is e^{-pi w^2/(lam+1)} at the
+      band edge w = 1/(2 dx); hence 1/(2 dx) >= r sqrt(1 + lam).
+
+    So n is the next power of two >= L/dx = 4 r^2 (lam+1)/sqrt(lam), and dx
+    the geometric mean of its two bounds, which splits the power-of-two
+    slack evenly between them: dx = (n sqrt(lam))^{-1/2}.
+
+    The bump family keeps its hand-set margins, dx = lam^{-1/2}/16 capped
+    at 1/16 and a window 1.15 x the combined supports: its (1, q)
+    frequency-inner norms are limited by the frequency spacing 1/L, not by
+    the wrap, and move by about 1e-4 relative when n halves.
     """
     _check_dilation(lam)
     if family in ("gaussian_mod", "gaussian_amalgam"):
-        half_f = _GAUSS_RADIUS / np.sqrt(lam)
-        dx = min(1.0, lam**-0.5) / 16.0
+        band = _ULP_RADIUS * np.sqrt(1.0 + lam)  # 1/(2 dx)
+        half = band / np.sqrt(lam)  # L/2 = r sqrt(1 + 1/lam)
+        n = 1 << int(np.ceil(np.log2(4.0 * half * band)))
+        dx = float(np.sqrt(half / (band * n)))
         fn = lambda x: gaussian(x, lam)
     elif family == "bump_amalgam":
-        half_f = lam**-0.5
         dx = min(1.0, lam**-0.5) / 16.0
+        span = 1.15 * 2.0 * (lam**-0.5 + _GAUSS_RADIUS)
+        n = 1 << int(np.ceil(np.log2(span / dx)))
         fn = lambda x: _bump(np.sqrt(lam) * x)
     else:
         raise DomainError(f"unknown family {family!r}")
-    span = 1.15 * 2.0 * (half_f + _GAUSS_RADIUS)
-    n = 1 << int(np.ceil(np.log2(span / dx)))
     n = max(n, 16)
     if n > _MAX_SWEEP_N:
         raise ResolutionError(

@@ -71,6 +71,35 @@ def test_support_check(rng):
         assert_central_support(bad)
 
 
+@pytest.mark.parametrize("index, ok", [(48, False), (47, True), (15, False), (16, True)])
+def test_support_check_edges(index, ok):
+    # support must lie in [n/4, 3n/4): at n = 64 a sample at index 48 or 15
+    # is rejected, one at 47 or 16 accepted
+    samples = np.zeros(64)
+    samples[32] = 1.0
+    samples[index] = 0.5
+    sig = SampledSignal(samples, x0=-2.0, dx=1 / 16)
+    if ok:
+        assert_central_support(sig)
+    else:
+        with pytest.raises(AliasingError):
+            assert_central_support(sig)
+
+
+@pytest.mark.parametrize("level, ok", [(1.01e-13, False), (0.99e-13, True)])
+def test_support_check_floor(level, ok):
+    # a sample above 1e-13 of the peak is support, one below it is not
+    samples = np.zeros(64, dtype=complex)
+    samples[32] = 2.0j
+    samples[0] = 2.0 * level
+    sig = SampledSignal(samples, x0=-2.0, dx=1 / 16)
+    if ok:
+        assert_central_support(sig)
+    else:
+        with pytest.raises(AliasingError):
+            assert_central_support(sig)
+
+
 # --- one-dimensional transform --------------------------------------------------
 
 def test_dft_gaussian_self_transform():

@@ -131,6 +131,48 @@ def test_theta_sigma_symmetries(rng):
 def test_theta_sigma_singular_axis():
     with pytest.raises(SingularPointError):
         theta_sigma_d1(0.0, 1.0)
+    with pytest.raises(SingularPointError):
+        theta_sigma_d1(np.array([1.0, 2.0]), np.array([3.0, -0.0]))
+
+
+@pytest.mark.parametrize("z1, z2", [(1e-200, 1e-200), (1e-200, -1e-120), (-1e-160, 1e-150),
+                                     (3e-155, 7e-154)])
+def test_theta_sigma_underflowing_product(z1, z2):
+    # z1 z2 below the normal range is off the axes: the series law from
+    # log|z1| + log|z2|, against mpmath's Ci of the exact product
+    import mpmath
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = theta_sigma_d1(z1, z2)
+    with mpmath.workdps(40):
+        want = float(-2 * mpmath.ci(4 * mpmath.pi * abs(mpmath.mpf(z1) * mpmath.mpf(z2))))
+    assert abs(got - want) <= 4e-16 * want
+
+
+@pytest.mark.parametrize("z1, z2", [(1e200, 1e200), (-1e154, 1.3e154), (1e300, -1e10)])
+def test_theta_sigma_overflowing_product(z1, z2):
+    # 4 pi |z1 z2| past the float range: Ci there is below 2e-308, and the
+    # kernel reads 0.0, with no overflow warning
+    import mpmath
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = theta_sigma_d1(z1, z2)
+    with mpmath.workdps(40):
+        want = -2 * mpmath.ci(4 * mpmath.pi * abs(mpmath.mpf(z1) * mpmath.mpf(z2)))
+    assert got == 0.0 and abs(want) < 2e-308
+
+
+def test_theta_sigma_extremes_in_one_array():
+    z1 = np.array([1e-200, 1.0, 1e200, 0.3])
+    z2 = np.array([1e-200, 0.25, 1e200, -1e-310])
+    got = theta_sigma_d1(z1, z2)
+    assert np.array_equal(got, [theta_sigma_d1(a, b) for a, b in zip(z1, z2)])
+    with pytest.raises(DomainError, match="theta_sigma_d1"):
+        theta_sigma_d1(np.inf, 1.0)
+    with pytest.raises(DomainError, match="theta_sigma_d1"):
+        theta_sigma_d1(1.0, np.nan)
 
 
 def test_cell_averages_match_fine_quadrature_off_axis():

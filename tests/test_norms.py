@@ -20,7 +20,7 @@ from tfq import (
     scaling_experiment,
     scaling_norm,
 )
-from tfq.grid import PHASE_SPACE
+from tfq.grid import PHASE_SPACE, signal_from_function
 from tfq.norms import FREQUENCY_INNER, POSITION_INNER
 
 from conftest import band_limited_signal, gaussian_signal
@@ -243,6 +243,22 @@ def test_fit_loglog_recovers_slope(rng):
         fit_loglog(lams[:4], vals[:4])
 
 
+def test_fit_loglog_stderr_is_ols(rng):
+    # a noisy six-point fit against the textbook OLS slope and its
+    # standard error, sqrt(SSR / (N - 2) / Sxx)
+    lams = np.geomspace(2.0, 500.0, 6)
+    vals = 1.7 * lams**-0.3 * np.exp(0.05 * rng.normal(size=6))
+    x, y = np.log(lams), np.log(vals)
+    sxx = np.sum((x - x.mean()) ** 2)
+    slope = np.sum((x - x.mean()) * (y - y.mean())) / sxx
+    resid = y - y.mean() - slope * (x - x.mean())
+    stderr = np.sqrt(np.sum(resid**2) / (len(x) - 2) / sxx)
+    fit = fit_loglog(lams, vals)
+    assert abs(fit.exponent - slope) <= 1e-12
+    assert abs(fit.stderr - stderr) <= 1e-12 * stderr
+    assert stderr > 1e-3
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_fit_loglog_rejects_bad_norms(bad):
     lams = np.geomspace(1, 100, 8)
@@ -284,13 +300,89 @@ def test_sweep_signal_rejects_under_resolved_dilation(monkeypatch):
 @pytest.mark.parametrize("lam", [8.0, 11.3, 32.0])
 @pytest.mark.parametrize("family", ["gaussian_mod", "bump_amalgam"])
 def test_sweep_signals_and_windows_exactly_even(family, lam):
-    # the sweep spacings lam^{-1/2}/16 are not dyadic; the centred axis is
-    # still exactly antisymmetric, so both even profiles sample exactly even
+    # the sweep spacings, (n sqrt(lam))^{-1/2} for the Gaussians and
+    # lam^{-1/2}/16 for the bump, are not dyadic; the centred axis is still
+    # exactly antisymmetric, so both even profiles sample exactly even
     from tfq import norms
 
     f = norms._sweep_signal(family, lam)
     for s in (f.samples, canonical_window(f).samples):
         assert np.array_equal(s[1:], s[:0:-1])
+
+
+def _gauss_sweep_closed_form(lam, p, q, amalgam):
+    # |V_g f| = (lam+1)^{-1/2} e^{-pi a x^2} e^{-pi b w^2}, a = lam/(lam+1),
+    # b = 1/(lam+1); the inner exponent p integrates over x (M^{p,q}) or,
+    # for the amalgam nesting, over w
+    a, b = lam / (lam + 1.0), 1.0 / (lam + 1.0)
+    inner, outer = (b, a) if amalgam else (a, b)
+    want = (lam + 1.0) ** -0.5
+    if not np.isinf(p):
+        want *= (p * inner) ** (-0.5 / p)
+    if not np.isinf(q):
+        want *= (q * outer) ** (-0.5 / q)
+    return want
+
+
+def _gauss_no_slack_points():
+    # the dilations where 4 r^2 (lam+1)/sqrt(lam) = 2^k, r^2 = 53 ln 2 / pi,
+    # for every n = 2^k from 128 (the least, at lam = 1) to the cap; each k
+    # has a root lam > 1 and its reciprocal; in (k, lam, side), lam / side
+    # lies just inside the point (n = 2^k) and lam * side just outside it
+    out = []
+    for k in range(7, 13):
+        c = 2.0**k * np.pi / (4.0 * 53.0 * np.log(2.0))  # (lam+1)/sqrt(lam)
+        s = (c + np.sqrt(c * c - 4.0)) / 2.0  # sqrt(lam) of the root above 1
+        out += [(k, s * s, 1.0 + 1e-9), (k, 1.0 / (s * s), 1.0 - 1e-9)]
+    return out
+
+
+def test_gaussian_sweep_grids_change_at_no_slack_points():
+    # just inside each no-slack point the grid holds exactly 2^k samples,
+    # just outside 2^(k+1) (or the cap refuses it): this pins r and both
+    # factors of the rule
+    from tfq import norms
+
+    for k, lam, side in _gauss_no_slack_points():
+        assert norms._sweep_signal("gaussian_mod", lam / side).n == 2**k
+        if k < 12:
+            assert norms._sweep_signal("gaussian_mod", lam * side).n == 2 ** (k + 1)
+        else:
+            with pytest.raises(ResolutionError):
+                norms._sweep_signal("gaussian_mod", lam * side)
+
+
+_GAUSS_SWEEP_SPECS = [(1.0, 1.0), (1.0, INF), (INF, 1.0), (1.5, 1.5), (2.0, 4.0)]
+
+
+@pytest.mark.parametrize("family", ["gaussian_mod", "gaussian_amalgam"])
+def test_gaussian_sweep_norms_match_closed_form(family):
+    # both Gaussian families to 1.2e-15 of the closed form, at every
+    # no-slack point of the grid rule (taken just inside it, where each
+    # error term sits at 2^-53 of the peak) and on a geometric grid
+    lams = [lam / side for _, lam, side in _gauss_no_slack_points()]
+    lams += list(np.geomspace(1.0 / 2048.0, 2048.0, 13))
+    for lam in lams:
+        for p, q in _GAUSS_SWEEP_SPECS:
+            want = _gauss_sweep_closed_form(lam, p, q, family == "gaussian_amalgam")
+            got = scaling_norm(family, MixedNormSpec(p, q), lam)
+            assert abs(got - want) <= 1.2e-15 * want, (lam, p, q)
+
+
+@pytest.mark.parametrize("lam, n", [(1 / 64, 512), (1.0, 256), (24.25, 1024), (96.0, 2048)])
+def test_bump_sweep_grid_keeps_its_margins(lam, n):
+    # the bump family keeps dx = lam^{-1/2}/16 capped at 1/16 and a window
+    # of 1.15 x the combined supports at radius 2.96 (the n given here); its
+    # norms are bit for bit those of a signal built on that grid here
+    from tfq import norms
+
+    dx = min(1.0, lam**-0.5) / 16.0
+    f = norms._sweep_signal("bump_amalgam", lam)
+    assert (f.n, f.dx) == (n, dx)
+    ref = signal_from_function(lambda x: norms._bump(np.sqrt(lam) * x), n, dx)
+    for p, q in [(1.0, INF), (2.0, 2.0), (INF, 1.0)]:
+        spec = MixedNormSpec(p, q)
+        assert scaling_norm("bump_amalgam", spec, lam) == amalgam_norm(ref, spec)
 
 
 def test_unknown_family_rejected():
