@@ -76,7 +76,7 @@ def stft(f: SampledSignal, window: SampledSignal) -> TFMatrix:
     i0 = int(round(-f.x0 / f.dx)) % n  # index of x = 0 on the axis
     # rows[s, j] = conj(window)[(s + j) % n]; row i needs s = i0 - i (mod n)
     rows = sliding_window_view(np.tile(np.conj(window.samples), 3), n)
-    vals, w0, dw = _centered_dft(f.samples, f.x0, f.dx, rows=rows[i0 + n : i0 : -1])
+    vals, w0, dw = _centered_dft(rows[i0 + n : i0 : -1] * f.samples, f.x0, f.dx)
     grid = PhaseSpaceGrid(nx=n, x0=f.x0, dx=f.dx, nw=n, w0=w0, dw=dw)
     return TFMatrix(vals, grid, PHASE_SPACE)
 

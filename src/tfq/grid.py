@@ -9,9 +9,9 @@ symplectic transform of a matrix F(x, w) is
 i.e. the plain 2D transform composed with the rotation J(z1, z2) = (z2, -z1).
 Both transforms track axis origins; output axes are always centered.  Every
 axis is x_j = c + d (j - n/2) about its centre c = x0 + n d/2, and a centered
-origin x0 = -n d/2 gives c = 0 exactly, so x_j = -x_{n-j} exactly.  On such
-axes every phase is a sign (-1)^index, the post-phase e^{-+2 pi i x0 w_k} =
-(-1)^k e^{-+2 pi i c w_k} (4 | n, turns c w_k reduced mod 1) included.
+origin x0 = -n d/2 gives c = 0 exactly, so x_j = -x_{n-j} exactly.  Every
+centred-axis sum of the package, ``dft``, ``stft``, ``symplectic_fourier``
+and the operator lag kernel, runs ``_centered_dft``, exact for every n.
 """
 
 from __future__ import annotations
@@ -221,23 +221,24 @@ class TFMatrix:
 # ---------------------------------------------------------------------------
 # one-dimensional transform
 
-def _centered_dft(samples: np.ndarray, x0: float, dx: float, inverse: bool = False,
-                  rows: np.ndarray | None = None):
-    """``dft`` of the samples on x0 + j dx, or with ``rows`` of each row of
-    rows times them (``stft``), along the last axis into a new array, and
-    the centered output axis (o0, do), do = 1/(n dx): (-1)^j on the samples,
-    then dx (-1)^k e^{-+2 pi i c w_k} for the centre c (dx (-1)^k if c = 0)."""
-    n = len(samples)
+def _centered_dft(v: np.ndarray, x0: float, dx: float, inverse: bool = False):
+    """In place along the last axis of the complex array v, sampled on
+    x_j = x0 + j dx: dx sum_j v_j e^{-+2 pi i x_j w_k} on the centered axis
+    w_k = do (k - n/2), do = 1/(n dx); returns v and (w_0, do).  With c the
+    input centre, x_j w_k = c w_k + j k / n - (j + k) / 2 + n / 4, so the sum
+    is (-1)^j on the samples, an FFT (an unnormalised inverse FFT), then
+    dx (-1)^k e^{-+2 pi i c w_k} e^{-+i pi n/2}, turns c w_k reduced mod 1."""
+    n = v.shape[-1]
     do = 1.0 / (n * dx)
-    v = samples.copy()
-    v[1::2] *= -1.0
-    v = v if rows is None else rows * v
+    v[..., 1::2] *= -1.0
     if inverse:
         np.fft.ifft(v, axis=-1, norm="forward", out=v)
     else:
         np.fft.fft(v, axis=-1, out=v)
     turns = (x0 + n * dx / 2.0) * centered_signal_axis(n, do)
-    post = dx * np.exp((1.0 if inverse else -1.0) * 2j * np.pi * (turns - np.round(turns)))
+    sign = 1.0 if inverse else -1.0
+    quarter = (1, sign * 1j, -1, -sign * 1j)[n % 4]  # e^{-+i pi n/2}, 1 when 4 | n
+    post = dx * quarter * np.exp(sign * 2j * np.pi * (turns - np.round(turns)))
     post[1::2] *= -1.0
     v *= post
     return v, -n * do / 2.0, do
@@ -254,7 +255,8 @@ def dft(signal: SampledSignal, direction: str = "forward") -> SampledSignal:
         raise SizeError("dft requires a power-of-two length")
     if direction not in ("forward", "inverse"):
         raise GridError(f"unknown dft direction {direction!r}")
-    spec, o0, do = _centered_dft(signal.samples, signal.x0, signal.dx, direction == "inverse")
+    spec, o0, do = _centered_dft(signal.samples.copy(), signal.x0, signal.dx,
+                                 direction == "inverse")
     return SampledSignal(spec, x0=o0, dx=do)
 
 
@@ -264,25 +266,18 @@ def dft(signal: SampledSignal, direction: str = "forward") -> SampledSignal:
 def symplectic_fourier(m: TFMatrix) -> TFMatrix:
     """Symplectic Fourier transform of a matrix on a centered square grid.
 
-    The x axis pairs with z2 through e^{-2pi i x z2} and the w axis with z1
-    through e^{+2pi i w z1}; the final transpose realises the rotation J by
-    index permutation.  The output grid is the centered dual grid and the
+    Two centred DFTs: the x axis pairs with z2 through e^{-2pi i x z2}, then
+    the w axis with z1 through e^{+2pi i w z1}, on the transposed copy, so
+    the result holds z1 down and z2 across: the rotation J by index
+    permutation.  The output grid is the two centered dual axes and the
     domain tag flips; a second application restores matrix, grid, and tag.
-    On centered axes every pre- and post-phase is (-1)^index; the constants
-    e^{-i pi n/2} (x axis) and e^{+i pi n/2} (w axis) cancel for every n.
     """
     g = m.grid
     if g.nx != g.nw:
         raise GridError("symplectic_fourier requires a square grid")
     if not g.is_centered():
         raise GridError("symplectic_fourier requires centered axes")
-    v = m.values * complex(g.cell_measure)  # a complex copy of real values too
-    v[1::2] *= -1.0  # pre-phases (-1)^(i + j)
-    v[:, 1::2] *= -1.0
-    np.fft.fft(v, axis=0, out=v)  # x axis -> z2 (forward kernel)
-    np.fft.ifft(v, axis=1, norm="forward", out=v)  # w axis -> z1 (conjugate kernel)
-    v[1::2] *= -1.0  # post-phases (-1)^(k + l)
-    v[:, 1::2] *= -1.0
+    v, z2_0, dz2 = _centered_dft(np.array(m.values.T, dtype=complex), g.x0, g.dx)
+    _, z1_0, dz1 = _centered_dft(v.T, g.w0, g.dw, inverse=True)
     tag = AMBIGUITY if m.domain_tag == PHASE_SPACE else PHASE_SPACE
-    dual = PhaseSpaceGrid.centered(g.nw, 1.0 / (g.nw * g.dw), g.nx, 1.0 / (g.nx * g.dx))
-    return TFMatrix(v.T, dual, tag)
+    return TFMatrix(v, PhaseSpaceGrid(g.nw, z1_0, dz1, g.nx, z2_0, dz2), tag)

@@ -13,11 +13,13 @@ uses the equivalent integral-kernel form
     K[i, m] = dw sum_l a_eff[i, l] e^{+2 pi i (2 m dx) w_l},
 
 with a_eff the rule's effective Weyl symbol, a filtered by the conjugate
-ambiguity multiplier.  ``operator_matrix`` filters K of a along time, at
-(2 m dx, time frequency): the lag filter that ``cohen`` runs on a
-correlation.  This is an exact rearrangement of the basis pairing, which
-the tests verify directly.  ``symbol_transform`` filters a symbol by
-sinc(z1 z2): the same lag filter between an FFT and an inverse FFT over w.
+ambiguity multiplier.  ``operator_matrix`` takes 2 dx K of a as one centred
+inverse DFT over w (``grid``'s, exact for every even n), lag m at column
+m + n/2, and filters it along time, at (2 m dx, time frequency): the lag
+filter that ``cohen`` runs on a correlation.  This is an exact
+rearrangement of the basis pairing, which the tests verify directly.
+``symbol_transform`` filters a symbol by sinc(z1 z2): the same lag filter
+between an FFT and an inverse FFT over w.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix
+from .grid import _ORIGIN_RTOL, PHASE_SPACE, PhaseSpaceGrid, SampledSignal, TFMatrix, _centered_dft
 from .distributions import cohen, wigner_grid
 from .kernels import (CohenKernel, _is_identity, _lag_filter, _lattice_multiplier,
                       ambiguity_multiplier, born_jordan_kernel, delta_kernel, tau_kernel)
@@ -82,7 +84,7 @@ def weak_apply(a: Symbol, rule: CohenKernel, f: SampledSignal, g: SampledSignal)
 def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     """Dense n x n matrix M with (Op(a) f)[j] = sum_u M[j, u] f[u].
 
-    The Weyl lag kernel of a is one inverse FFT over w and a sign; a rule
+    The Weyl lag kernel of a is one centred inverse DFT over w; a rule
     whose multiplier is not exactly 1 filters it along time by its conjugate.
 
     Raises:
@@ -93,13 +95,11 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     n = g.nx
     if not np.isclose(2.0 * n * g.dx * g.dw, 1.0, rtol=_ORIGIN_RTOL, atol=0):
         raise GridError("operator symbols need the grid spacing dw = 1/(2 n dx)")
-    # 2 dx K[i, m] in DFT residue order (m and m mod n agree for |m| < n/2);
-    # w0 = -1/(4 dx) on the centred grid, so e^{2 pi i (2 m dx) w0} = (-1)^m
-    lag = np.fft.ifft(a.matrix.values, axis=1)
-    lag *= 2.0 * n * g.dx * g.dw
-    lag[:, 1::2] *= -1.0
+    # 2 dx K[i, m], lag m at column m + n/2
+    lag = _centered_dft(np.multiply(a.matrix.values, 2.0 * g.dx, dtype=complex),
+                        g.w0, g.dw, inverse=True)[0]
     if not _is_identity(rule):
-        phi = _lattice_multiplier(rule, np.fft.fftfreq(n, 1.0 / n).astype(np.int64), n)
+        phi = _lattice_multiplier(rule, np.arange(n) - n // 2, n)
         _lag_filter(lag, lambda rows: np.conj(phi(rows)))
     # lag m fills M[i + m, i - m], i in [|m|, n - |m|): one stride-(n + 1)
     # anti-diagonal of the flat matrix; entries with j + u odd stay zero
@@ -108,7 +108,7 @@ def operator_matrix(a: Symbol, rule: CohenKernel) -> np.ndarray:
     for m in range(1 - n // 2, n // 2):
         lo = abs(m)
         start = lo * (n + 1) + m * (n - 1)
-        flat[start : start + (n - 2 * lo) * (n + 1) : n + 1] = lag[lo : n - lo, m % n]
+        flat[start : start + (n - 2 * lo) * (n + 1) : n + 1] = lag[lo : n - lo, m + n // 2]
     return out
 
 

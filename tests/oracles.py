@@ -9,7 +9,11 @@ central rows; ``dropped_lag_bound`` bounds what the other entries carry,
 ``flushed_sample_bound`` what the samples the engines zero carry),
 and the three-step ambiguity route (symplectic transform, multiplier,
 symplectic transform back) built from public functions only, for a
-kernel or for any multiplier callable (z1, z2) -> complex.  Two more
+kernel or for any multiplier callable (z1, z2) -> complex.  Two check the
+centred transforms at any size, n = 2 mod 4 and odd n included: the
+symplectic transform as its defining double sum
+(``symplectic_fourier_direct``) and the Weyl operator matrix as its lag
+sum over w (``weyl_matrix_direct``).  Two more
 check the Born-Jordan kernel: its cell averages with one antiderivative evaluation
 per cell corner, and the distribution as a tau-average of tau-Wigner
 distributions, with neither the multiplier nor Ci.  Two are the library's
@@ -425,6 +429,37 @@ def flushed_sample_bound(f, g, scale):
     i = np.arange(n)[:, None]
     zeroed = small(f.samples)[(i + m) % n] | small(g.samples)[(i - m) % n]
     return _entry_bound(r, zeroed & _written(m, n), f.dx)
+
+
+def _centred_axis(n, d):
+    return d * (np.arange(n) - n / 2)
+
+
+def symplectic_fourier_direct(m):
+    """dx dw sum_i sum_j F[i, j] e^{-2 pi i (z2 x_i - z1 w_j)} on the centred
+    dual axes, dz1 = 1/(nw dw) down and dz2 = 1/(nx dx) across, as two dense
+    matrix products (no FFT, no folded signs) on a centred grid."""
+    g = m.grid
+    x, w = _centred_axis(g.nx, g.dx), _centred_axis(g.nw, g.dw)
+    z1, z2 = _centred_axis(g.nw, 1.0 / (g.nw * g.dw)), _centred_axis(g.nx, 1.0 / (g.nx * g.dx))
+    e1 = np.exp(2j * np.pi * np.outer(z1, w))
+    e2 = np.exp(-2j * np.pi * np.outer(x, z2))
+    return g.dx * g.dw * (e1 @ m.values.T @ e2)
+
+
+def weyl_matrix_direct(a):
+    """M[i + m, i - m] = 2 dx dw sum_l a[i, l] e^{2 pi i (2 m dx) w_l} for
+    |m| < n/2 and |m| <= i < n - |m|, zero elsewhere: the Weyl operator
+    matrix of a symbol on its centred grid, one dense sum per lag."""
+    g = a.grid
+    n = g.nx
+    w = _centred_axis(n, g.dw)
+    out = np.zeros((n, n), dtype=complex)
+    for m in range(1 - n // 2, n // 2):
+        i = np.arange(abs(m), n - abs(m))
+        out[i + m, i - m] = 2.0 * g.dx * g.dw * (
+            a.matrix.values[i] @ np.exp(2j * np.pi * 2.0 * m * g.dx * w))
+    return out
 
 
 def symbol_filter_three_step(matrix, kernel, conj=False):

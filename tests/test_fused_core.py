@@ -524,6 +524,28 @@ def test_flushed_samples_stay_within_the_flush_bound(n, scale):
             assert np.abs(out - ref).max() <= bound, name
 
 
+@pytest.mark.parametrize("peak, small, kept", [
+    # at a tiny peak the relative floor 2^-100 of the peak governs
+    pytest.param(2.0**-450, 2.0**-549, True, id="relative-kept"),
+    pytest.param(2.0**-450, 2.0**-551, False, id="relative-zeroed"),
+    # at a normal peak the absolute floor 2^-510 / sqrt(2 dx) = 2^-508.5 does
+    pytest.param(1.0, 2.0**-400, True, id="absolute-kept-2^-400"),
+    pytest.param(1.0, 2.0**-505, True, id="absolute-kept-2^-505"),
+    pytest.param(1.0, 2.0**-509, False, id="absolute-zeroed"),
+])
+@pytest.mark.parametrize("cross", [False, True], ids=["diag", "cross"])
+def test_flush_floors_keep_and_zero_at_their_edges(peak, small, kept, cross):
+    # two samples 4 cells apart: only their products reach row 32, and
+    # every such product is a normal number, so the row is zero exactly
+    # when the small sample was flushed
+    n, dx = 64, 1 / 16
+    samples = np.zeros(n)
+    samples[30], samples[34] = peak, small
+    f = SampledSignal(samples, x0=-n * dx / 2, dx=dx)
+    row = wigner(f, f.with_samples(samples) if cross else None).values[32]
+    assert (np.abs(row).max() > 0.0) == kept
+
+
 @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
 def test_cross_wigner_of_gaussians_holds_no_subnormal(lam):
     # the benchmark's cross pair at n = 1024: tails that underflow made

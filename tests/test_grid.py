@@ -24,7 +24,7 @@ from tfq import (
 )
 
 from conftest import band_limited_signal, gaussian_signal, sup_rel_error
-from oracles import circular_convolve, compose_j
+from oracles import circular_convolve, compose_j, symplectic_fourier_direct
 
 
 def random_matrix(rng, n=64, dx=1 / 8, dw=None):
@@ -171,6 +171,15 @@ def test_sft_involution_exact_to_rounding(rng, n):
     twice = symplectic_fourier(symplectic_fourier(m))
     assert twice.grid.close_to(m.grid)
     assert sup_rel_error(twice.values, m.values) < 1e-14
+
+
+@pytest.mark.parametrize("n", [6, 7, 10])
+def test_sft_matches_direct_double_sum(rng, n):
+    # sizes off 4 | n: each axis's centred DFT carries e^{-+i pi n/2}
+    m = random_matrix(rng, n=n, dx=0.3, dw=0.45)
+    out = symplectic_fourier(m)
+    assert out.grid.close_to(PhaseSpaceGrid.centered(n, 1 / (n * 0.45), n, 1 / (n * 0.3)))
+    assert sup_rel_error(out.values, symplectic_fourier_direct(m)) < 1e-14
 
 
 def test_sft_impulse_is_constant():

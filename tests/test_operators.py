@@ -19,7 +19,7 @@ from tfq import (
 )
 
 from conftest import band_limited_signal
-from oracles import compose_j, is_j_closed
+from oracles import compose_j, is_j_closed, weyl_matrix_direct
 
 
 def random_symbol(rng, grid, centers_box=1.0, width=0.8, terms=4):
@@ -242,6 +242,16 @@ def test_symbol_grid_must_match_whole(rng):
     for rule in (weyl_rule(), born_jordan_rule(), tau_rule(0.3)):
         operator_matrix(b, rule)
     assert np.array_equal(b.matrix.values, before)
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_weyl_matrix_matches_direct_lag_sum(rng, n):
+    # n = 2 mod 4: the lag kernel's centred inverse DFT carries e^{i pi n/2} = -1
+    dx = 0.3
+    grid = PhaseSpaceGrid.centered(n, dx, n, 1 / (2 * n * dx))
+    a = random_symbol(rng, grid)
+    ref = weyl_matrix_direct(a)
+    assert np.abs(operator_matrix(a, weyl_rule()) - ref).max() < 1e-14 * np.abs(ref).max()
 
 
 def test_weyl_equals_tau_half(rng):
