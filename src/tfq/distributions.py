@@ -89,18 +89,19 @@ def wigner_grid(f: SampledSignal) -> PhaseSpaceGrid:
 
 
 def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half: bool,
-                 rows=slice(None)):
+                 first: int = 0):
     """The zero-filled n x n output, float64 with ``half``, complex128
     otherwise, and its band: scale (-1)^m f[i + m] conj(g[i - m]) on the
     central rows [n/4, 3n/4), lag m at column m + n/4 for |m| <= n/4, or
     with ``half`` at column m for m = 0..n/4.  The band is a C-contiguous
     complex view of the output's bytes at an odd row stride, holding the
-    output ``rows`` (all n, or ``wigner``'s central n/2) from the first of
-    them.  Every other entry pairs a sample below the support floor with
-    another (see the module docstring), the band's edge lags +-n/4 too.
-    The lag sign i^(i + m) i^-(i - m) and ``scale`` ride on the signals, so
-    the written entries are the product of two sliding windows over the
-    zero-padded signals."""
+    output rows [first, n - first): all n, or with ``first`` = n/4
+    ``wigner``'s central n/2.  Every other entry pairs a sample below the
+    support floor with another (see the module docstring), the band's edge
+    lags +-n/4 too.  The lag sign i^(i + m) i^-(i - m) and ``scale`` ride
+    on the signals, so the written entries are the product of two sliding
+    windows over the signals: on a central row, i + m and i - m lie in
+    [0, n) for every |m| <= n/4."""
     if g is None:
         g = f
     if not f.same_grid(g):
@@ -119,22 +120,19 @@ def _correlation(f: SampledSignal, g: SampledSignal | None, scale: float, half: 
         return np.where(mag < min(floor, 2.0**-100 * mag.max()), 0.0, s)
 
     quarter = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
-    pad = np.zeros(n // 2, dtype=complex)
-    fp = np.concatenate([pad, flushed(f.samples) * quarter * scale, pad])
-    gp = np.concatenate([pad, np.conj(flushed(g.samples) * quarter), pad])[::-1]
-    window = slice(n // 2 + m0, 3 * n // 2 + m0)  # window of row i: i + m0 + n/2
-    lo, hi, _ = rows.indices(n)
+    fs = flushed(f.samples) * quarter * scale
+    gr = np.conj(flushed(g.samples) * quarter)[::-1]
+    window = slice(n // 4 + m0, 3 * n // 4 + m0)  # windows i + m0 of the central rows i
     # allocated after the small arrays above (before them, it left the heap
     # 3 MB larger over a run of born_jordan_direct calls at n = 256); fresh
     # pages come zeroed from the system, so np.zeros clears a large buffer
     # for free, and pages never written take no memory (exactly n^2 across:
     # n + 4 columns raised the benchmark's peak RSS by 15 MB)
     out = np.zeros((n, n), dtype=float if half else complex)
-    band = out[lo:].reshape(-1).view(complex)[: (hi - lo) * count].reshape(hi - lo, count)
-    central = slice(n // 4, 3 * n // 4)
-    np.multiply(sliding_window_view(fp, count)[window][central],
-                sliding_window_view(gp, count)[window][::-1][central],
-                out=band[n // 4 - lo : 3 * n // 4 - lo])
+    band = out[first:].reshape(-1).view(complex)[: (n - 2 * first) * count].reshape(-1, count)
+    np.multiply(sliding_window_view(fs, count)[window],
+                sliding_window_view(gr, count)[window][::-1],
+                out=band[n // 4 - first : 3 * n // 4 - first])
     return out, band
 
 
@@ -174,7 +172,7 @@ def _cohen_rows(f: SampledSignal, g: SampledSignal | None, kernel: CohenKernel,
     one take ``wigner``'s central-row route."""
     n, diag = f.n, g is None or g is f
     if _is_identity(kernel):
-        out, band = _correlation(f, g, 2.0 * f.dx, diag, slice(n // 4, 3 * n // 4))
+        out, band = _correlation(f, g, 2.0 * f.dx, diag, n // 4)
     else:
         half = diag and kernel.kind == BORN_JORDAN
         out, band = _correlation(f, g, 2.0 * f.dx / n, half)

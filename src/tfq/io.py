@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +52,20 @@ def _atomic_write(files: dict) -> None:
         raise
 
 
+def _number(v) -> float:
+    """A JSON number within float range: not a bool, not a string."""
+    if type(v) not in (int, float):
+        raise TypeError(f"{type(v).__name__} is not a number")
+    return float(v)  # OverflowError past the float range
+
+
 def _fields(header, types: dict, path) -> list:
     """The required header values, each converted by its type."""
     try:
         return [t(header[k]) for k, t in types.items()]
     except KeyError as exc:
         raise ValueError(f"{path}: missing {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad header value: {exc}") from None
 
 
@@ -80,7 +88,7 @@ def write_signal(sig: SampledSignal, path, meta: dict | None = None) -> None:
 def read_signal(path) -> SampledSignal:
     path = Path(path)
     with open(sidecar_path(path)) as fh:
-        x0, dx = _fields(json.load(fh), {"x0": float, "dx": float}, sidecar_path(path))
+        x0, dx = _fields(json.load(fh), {"x0": _number, "dx": _number}, sidecar_path(path))
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -98,21 +106,11 @@ def read_signal(path) -> SampledSignal:
 
 
 def write_matrix(m: TFMatrix, path) -> None:
-    """Header, then the values as contiguous little-endian complex128: no
-    copy when they already are (real values are cast, imag exactly 0)."""
-    g = m.grid
-    header = {
-        "format": MATRIX_FORMAT,
-        "version": MATRIX_VERSION,
-        "nx": g.nx,
-        "x0": g.x0,
-        "dx": g.dx,
-        "nw": g.nw,
-        "w0": g.w0,
-        "dw": g.dw,
-        "domain": m.domain_tag,
-        "dtype": MATRIX_DTYPE,
-    }
+    """Header (the grid's fields in their declared order), then the values
+    as contiguous little-endian complex128: no copy when they already are
+    (real values are cast, imag exactly 0)."""
+    header = {"format": MATRIX_FORMAT, "version": MATRIX_VERSION, **asdict(m.grid),
+              "domain": m.domain_tag, "dtype": MATRIX_DTYPE}
     head = json.dumps(header).encode()
     values = np.ascontiguousarray(m.values, "<c16")
     _atomic_write({path: [struct.pack("<I", len(head)), head, values]})
@@ -137,7 +135,7 @@ def read_matrix(path) -> TFMatrix:
             if type(got) is not type(want) or got != want:  # true == 1 in Python
                 raise ValueError(f"{path}: {key} {got!r} is not {want!r}")
         nx, x0, dx, nw, w0, dw, domain = _fields(header, {
-            "nx": int, "x0": float, "dx": float, "nw": int, "w0": float, "dw": float,
+            "nx": int, "x0": _number, "dx": _number, "nw": int, "w0": _number, "dw": _number,
             "domain": str,
         }, path)
         for key in ("nx", "nw"):  # int() above would pass 2.9 as 2 and true as 1

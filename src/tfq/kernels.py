@@ -138,9 +138,9 @@ def _lattice_multiplier(kernel: CohenKernel, lags: np.ndarray, n: int):
 
 
 def _lag_filter(r: np.ndarray, mult, norm: str = "backward") -> np.ndarray:
-    """In place along axis 0: time FFT, rows times ``mult(rows)`` in 16 row
-    blocks (no n x n multiplier at once), inverse time FFT with numpy's
-    ``norm``."""
+    """In place along axis 0: time FFT, rows times ``mult(rows)`` in 16
+    blocks of ceil(n / 16) rows (no n x n multiplier at once), inverse time
+    FFT with numpy's ``norm``."""
     np.fft.fft(r, axis=0, out=r)
     step = -(-len(r) // 16)
     for k in range(0, len(r), step):
@@ -228,7 +228,8 @@ def theta_sigma_cell_averages(x_offsets, w_offsets, dx: float, dw: float):
 # ---------------------------------------------------------------------------
 # growth of |Theta|^p over expanding boxes
 
-_U_EXACT = 16384.0  # the growth integral's u-panels stop here; period-average tail beyond
+_U_EXACT = 16384.0  # the growth integral's unit panels stop here; whole-period tail beyond
+# (4096 is an equivalent mutant: every cut from 1024 up moved it <= 3.1e-16)
 # panel edges on [0, 1] halving toward 0 (to 2^-45), where log u or a zero of
 # sinc sits, and toward 1 (to 2^-20)
 _GRADED = np.concatenate([[0.0], 2.0 ** np.arange(-45.0, 0.0),
@@ -252,17 +253,18 @@ def theta_growth_integral(p: float, R: float) -> float:
 
         I_p(R) = 4 int_0^{R^2} |sinc u|^p log(R^2/u) du.
 
-    The u integral up to min(R^2, ``_U_EXACT`` = 16384) uses two rules.
-    [0, 1] and a partial last panel take ``np.sinc`` at 12 Gauss nodes on
-    panels halving toward both ends.  Every whole unit panel [j, j + 1]
-    takes the 10-node Gauss rule for the weight |sin(pi t)|^p on [0, 1]
+    [0, 1] and the partial last panel [floor(R^2), R^2] take ``np.sinc``
+    at 12 Gauss nodes on panels halving toward both ends.  Every whole
+    unit panel [j, j + 1] up to min(R^2, ``_U_EXACT`` = 16384) takes the
+    10-node Gauss rule for the weight |sin(pi t)|^p on [0, 1]
     (Gauss-Jacobi for (t (1 - t))^p, times the smooth factor), so each
-    node costs one log and one exp.  Past 16384 |sin|^p is replaced by
-    its period average, the rule's weight sum, and the rest is taken in
-    v = log u on four 12-node panels.  Against mpmath: 4.4e-16 relative
-    or better at 64 (p, R), p from 1 to 8, R up to 24.  Past 16384 the
-    period average limits it; against every panel summed to R^2 (R = 384)
-    it measured 2e-12 at p = 1, 2e-13 at p = 1.3 and 3e-16 at p >= 2.  At
+    node costs one log and one exp.  On the whole periods past 16384
+    |sin|^p is replaced by its period average, the rule's weight sum,
+    times int h for h = (pi u)^-p log(R^2/u), taken in v = log u on four
+    12-node panels, plus the second-moment end term of the same rule.
+    Against mpmath: 4.4e-16 relative or better at 64 (p, R), p from 1 to
+    8, R up to 24.  Against every panel summed to R^2 at R = 128.5, 160,
+    200 and 384 it measured 2.3e-15 or better at p = 1, 1.3 and 2.  At
     p = 2 an independent route (integration by parts through Si) agrees to
     3.7e-14 relative or better at 44 radii from 1 to 1e4.
     """
@@ -272,12 +274,11 @@ def theta_growth_integral(p: float, R: float) -> float:
         raise DomainError("box half-width must lie in [1, 1e4]")
     R2 = R * R
     L = log(R2)
-    u_hi = min(R2, _U_EXACT)
-    j_hi = np.floor(u_hi)
+    j_top = np.floor(R2)
+    j_hi = min(j_top, _U_EXACT)
 
-    # np.sinc on [0, 1] and on a partial last panel [j_hi, u_hi]
-    edges = [_GRADED, j_hi + (u_hi - j_hi) * _GRADED] if u_hi > j_hi else [_GRADED]
-    u, w = _panel_rule(np.array(edges), 12)
+    # np.sinc on [0, 1] and on the partial last panel [j_top, R^2] (width 0 at an integer R^2)
+    u, w = _panel_rule(np.array([_GRADED, j_top + (R2 - j_top) * _GRADED]), 12)
     panels = (np.abs(np.sinc(u)) ** p * np.log(R2 / u) * w).sum(axis=-1).ravel().tolist()
     # Gauss-Jacobi for (t (1 - t))^p on [0, 1] = (1 + x) / 2 by Golub-Welsch
     # (eigh reads the lower triangle), then the weights times (sin(pi t) / (t (1 - t)))^p
@@ -288,16 +289,21 @@ def theta_growth_integral(p: float, R: float) -> float:
     s = 0.5 - 0.5 * np.abs(x)  # min(t, 1 - t), so sin(pi t) keeps its relative accuracy
     mass = np.sqrt(np.pi) * gamma(p + 1.0) / (gamma(p + 1.5) * 2.0 ** (2.0 * p + 1.0))
     wt = mass * vec[0] ** 2 * (np.sin(np.pi * s) / (s * (1.0 - s))) ** p
-    log_u = np.log(np.arange(1.0, j_hi)[:, None] + (0.5 + 0.5 * x))
+    t = 0.5 + 0.5 * x
+    log_u = np.log(np.arange(1.0, j_hi)[:, None] + t)
     vals = np.exp(-p * (log(np.pi) + log_u))
     vals *= L - log_u
     panels += (vals @ wt).tolist()
 
-    # past u_hi: the period average of |sin|^p times int u^-p (L - log u) du,
-    # in v = log u; an empty interval when R^2 <= 16384
-    v, w = _panel_rule(np.linspace(log(u_hi), L, 5), 12)
-    tail = float(wt.sum() * np.sum(np.exp((1.0 - p) * v - p * log(np.pi)) * (L - v) * w))
-    return 4.0 * (fsum(panels) + tail)
+    # the whole periods [j_hi, j_top], empty when R^2 < 16385: with
+    # h = (pi u)^-p (L - log u), the period average of |sin|^p times int h,
+    # in v = log u, plus m2 (h'(j_top) - h'(j_hi)) from the second moment
+    # (the odd terms vanish, |sin(pi t)|^p being even about t = 1/2)
+    v, w = _panel_rule(np.linspace(log(j_hi), log(j_top), 5), 12)
+    m2 = 0.5 * (wt @ t**2 - wt.sum() / 3.0)
+    dh = lambda u: -(np.pi * u) ** -p * (p * (L - log(u)) + 1.0) / u  # h'(u)
+    tail = wt.sum() * np.sum(np.exp((1.0 - p) * v - p * log(np.pi)) * (L - v) * w)
+    return 4.0 * (fsum(panels) + float(tail + m2 * (dh(j_top) - dh(j_hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +314,9 @@ def _vg_integrand(t, z1, z2, zeta1, zeta2):
     # apparent 1/t chirp of the two half-kernels cancels in the sum, leaving
     # an analytic phase (verified against direct 2D quadrature)
     t2p1 = t * t + 1.0
+    decay = np.pi * ((t * z1 - zeta2) ** 2 + (t * z2 - zeta1) ** 2) / t2p1
     phase = (t * (zeta1 * zeta2 - z1 * z2) + z1 * zeta1 + z2 * zeta2) / t2p1
-    amp = (
-        np.exp(-np.pi * ((t * z1 - zeta2) ** 2 + (t * z2 - zeta1) ** 2) / t2p1)
-        / np.sqrt(t2p1)
-    )
-    return amp * np.exp(-2j * np.pi * phase)
+    return np.exp(-decay - 2j * np.pi * phase) / np.sqrt(t2p1)
 
 
 _MAX_PANELS = 1024  # sub-panel budget of vg_theta_grid: live phase rate up to 8192

@@ -233,7 +233,6 @@ def _sweep_signal(family: str, lam: float) -> SampledSignal:
         fn = lambda x: _bump(np.sqrt(lam) * x)
     else:
         raise DomainError(f"unknown family {family!r}")
-    n = max(n, 16)
     if n > _MAX_SWEEP_N:
         raise ResolutionError(
             f"dilation {lam:g} needs {n} samples (cap {_MAX_SWEEP_N})", lam=lam

@@ -12,8 +12,8 @@ and exits 1 if any survived.  It needs the unmutated suite to pass, takes
 2-30 s per mutant, and uses the standard library only.
 
 A mutant that is equivalent at the documented accuracy has no entry; the
-comment by its constant says so (``s = 0.5 - 0.5 |x|`` in
-``theta_growth_integral``).
+comment by its constant says so (``s = 0.5 - 0.5 |x|`` and ``_U_EXACT``
+= 4096 in ``theta_growth_integral``).
 """
 
 import os
@@ -46,8 +46,10 @@ MUTANTS = [
      "/ (len(lams) - 2)", "/ len(lams)", "tests/test_norms.py"),
     ("_GRADED depth 2^-45 -> 2^-30", "src/tfq/kernels.py",
      "2.0 ** np.arange(-45.0, 0.0)", "2.0 ** np.arange(-30.0, 0.0)", "tests/test_kernels.py"),
-    ("_U_EXACT 16384 -> 4096", "src/tfq/kernels.py",
-     "_U_EXACT = 16384.0", "_U_EXACT = 4096.0", "tests/test_kernels.py"),
+    ("_U_EXACT 16384 -> 64", "src/tfq/kernels.py",
+     "_U_EXACT = 16384.0", "_U_EXACT = 64.0", "tests/test_kernels.py"),
+    ("growth tail's second-moment term dropped", "src/tfq/kernels.py",
+     "float(tail + m2 * (dh(j_top) - dh(j_hi)))", "float(tail)", "tests/test_kernels.py"),
     ("special._TINY 2^-60 -> 2^-40", "src/tfq/special.py",
      "_TINY = 2.0 ** -60", "_TINY = 2.0 ** -40", "tests/test_special.py"),
     ("_SERIES_CUT 4 -> 5", "src/tfq/special.py",

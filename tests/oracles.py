@@ -260,18 +260,23 @@ def _panel_sums(fn, edges) -> list:
     return ((fn(0.5 * (a + b) + half * x) * half) @ w).ravel().tolist()
 
 
-def growth_sinc_panels(p: float, R: float) -> float:
+def growth_sinc_panels(p: float, R: float, cut: float = 16384.0) -> float:
     """I_p(R) = 4 int_0^{R^2} |sinc u|^p log(R^2/u) du with ``np.sinc`` at
     the 12 Gauss-Legendre nodes of every panel: dyadic panels in [2^-44, 1]
     with [0, 2^-44] taken as |sinc| = 1, then every unit panel to
-    min(R^2, 16384) and a partial last one, each halving toward both ends
-    to 2^-20 of its width, where |sinc|^p meets a zero as |t|^p.  Past
-    16384 a closed-form tail times the average of |sin|^p over a period,
-    taken on the same graded panels (a plain 64-node average is off by
-    4.6e-9 at p = 1.3).  Evaluated 512 unit panels at a time."""
+    j_hi = min(floor(R^2), ``cut``) and the partial last one
+    [floor(R^2), R^2], each halving toward both ends to 2^-20 of its width,
+    where |sinc|^p meets a zero as |t|^p.  On the whole periods
+    [j_hi, floor(R^2)] the closed-form int h, h = (pi u)^-p log(R^2/u),
+    times the average of |sin|^p over a period, plus the second-moment
+    term m2 (h'(floor(R^2)) - h'(j_hi)), the moments of |sin(pi t)|^p on
+    [0, 1] taken on the same graded panels (a plain 64-node average is off
+    by 4.6e-9 at p = 1.3).  ``cut`` = inf sums every panel.  Evaluated 512
+    unit panels at a time."""
     R2 = R * R
-    u_hi = min(R2, 16384.0)
-    j_hi = np.floor(u_hi)
+    L = log(R2)
+    j_top = np.floor(R2)
+    j_hi = min(j_top, cut)
 
     def integrand(u):
         return np.abs(np.sinc(u)) ** p * np.log(R2 / u)
@@ -280,22 +285,27 @@ def growth_sinc_panels(p: float, R: float) -> float:
     starts = np.arange(1.0, j_hi)
     for k in range(0, len(starts), 512):
         sums += _panel_sums(integrand, starts[k:k + 512, None] + _UNIT_EDGES)
-    if u_hi > j_hi:
-        sums += _panel_sums(integrand, j_hi + (u_hi - j_hi) * _UNIT_EDGES)
+    if R2 > j_top:
+        sums += _panel_sums(integrand, j_top + (R2 - j_top) * _UNIT_EDGES)
     main = fsum(sums) + 2.0**-44 * (1.0 + log(R2 / 2.0**-44))
-    if R2 <= u_hi:
+    if j_top <= j_hi:
         return 4.0 * main
-    period_avg = fsum(_panel_sums(lambda t: np.abs(np.sin(np.pi * t)) ** p, _UNIT_EDGES))
+    m0, m2 = (fsum(_panel_sums(lambda t: t**k * np.abs(np.sin(np.pi * t)) ** p, _UNIT_EDGES))
+              for k in (0, 2))
     if abs(p - 1.0) < 1e-12:
-        iv = (log(R2) ** 2 / 2.0) - (log(R2) * log(u_hi) - log(u_hi) ** 2 / 2.0)
+        iv = (L * log(j_top) - log(j_top) ** 2 / 2.0) - (L * log(j_hi) - log(j_hi) ** 2 / 2.0)
     else:
         q = 1.0 - p
 
         def prim(uv: float) -> float:
-            return (uv**q / q) * (log(R2) - log(uv)) + uv**q / (q * q)
+            return (uv**q / q) * (L - log(uv)) + uv**q / (q * q)
 
-        iv = prim(R2) - prim(u_hi)
-    return 4.0 * (main + period_avg * iv / np.pi**p)
+        iv = prim(j_top) - prim(j_hi)
+
+    def dh(u: float) -> float:
+        return -((np.pi * u) ** -p) * (p * (L - log(u)) + 1.0) / u
+
+    return 4.0 * (main + m0 * iv / np.pi**p + 0.5 * (m2 - m0 / 3.0) * (dh(j_top) - dh(j_hi)))
 
 
 def growth_mpmath(p: float, R: float) -> float:

@@ -383,7 +383,9 @@ def test_csv_without_its_header_exits_3(tmp_path, capsys, header):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", None], ids=["str", "null"])
+# a bool, a numeric string or an int past the float range is no grid value
+@pytest.mark.parametrize("value", ["abc", None, True, "0.25", 10**400],
+                         ids=["str", "null", "bool", "numeric-str", "huge-int"])
 def test_sidecar_value_of_wrong_type_exits_3(tmp_path, capsys, value):
     sig = tmp_path / "f.csv"
     run(["synth", "--kind", "gaussian", "--n", "256", "--output", str(sig)])
@@ -485,6 +487,8 @@ def test_bad_numeric_arguments_exit_2(tmp_path, capsys, argv, needle):
     ("dx", "abc"), ("w0", None),
     # any domain but the two tags is a malformed file, not a usage error
     ("domain", [1]), ("domain", 7), ("domain", None), ("domain", "foo"),
+    # a bool, a numeric string or an int past the float range is no grid value
+    ("dx", True), ("x0", "-2.0"), pytest.param("dw", 10**400, id="dw-huge-int"),
 ])
 def test_matrix_header_value_of_wrong_type_exits_3(tmp_path, capsys, key, value):
     assert _op_on_edited_symbol(tmp_path, lambda header: header.update({key: value})) == 3

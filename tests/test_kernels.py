@@ -292,6 +292,18 @@ def test_growth_matches_sinc_panel_oracle(p, R):
     assert abs(got - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("R", [128.5, 160.0])
+@pytest.mark.parametrize("p", [1.0, 1.3])
+def test_growth_matches_every_panel(p, R):
+    # past u = 16384 the whole periods take the period average and its
+    # second-moment end term, a non-integer R^2 its graded last panel; the
+    # oracle sums np.sinc on every unit panel to R^2.  Measured <= 1.5e-15;
+    # without the end term 8.9e-13 at p = 1
+    got = theta_growth_integral(p, R)
+    ref = growth_sinc_panels(p, R, cut=np.inf)
+    assert abs(got - ref) <= 1e-14 * ref
+
+
 @pytest.mark.parametrize("R", [1.2, 1.7, 3.0, 7.3])
 @pytest.mark.parametrize("p", [1.3, 1.57, 3.5, 4.7, 6.2])
 def test_growth_matches_mpmath_at_non_integer_p(p, R):
